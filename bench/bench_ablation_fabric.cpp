@@ -9,7 +9,6 @@
 #include "fairmpi/common/mpsc_ring.hpp"
 #include "fairmpi/common/spsc_ring.hpp"
 #include "fairmpi/fabric/fabric.hpp"
-#include "fairmpi/fabric/submit_ring.hpp"
 
 namespace {
 
@@ -19,9 +18,6 @@ using fairmpi::fabric::Endpoint;
 using fairmpi::fabric::Fabric;
 using fairmpi::fabric::Opcode;
 using fairmpi::fabric::Packet;
-using fairmpi::fabric::SubmitDesc;
-using fairmpi::fabric::SubmitRing;
-using fairmpi::fabric::SubmitTicket;
 
 void BM_RingPushPopSingleThread(benchmark::State& state) {
   MpscRing<std::uint64_t> ring(4096);
@@ -113,60 +109,6 @@ void BM_SpscLanePushPop(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations());
 }
 BENCHMARK(BM_SpscLanePushPop);
-
-/// Uncontended submission-ring round trip: claim + fill + publish on the
-/// producer side, drain + ticket resolve on the consumer side. This is the
-/// overhead a sender pays for going through the combining funnel instead
-/// of injecting directly under the lock it already holds.
-void BM_SubmitRingSubmitDrain(benchmark::State& state) {
-  SubmitRing ring(64);
-  Packet pkt;
-  pkt.hdr.opcode = Opcode::kEager;
-  for (auto _ : state) {
-    SubmitTicket ticket;
-    benchmark::DoNotOptimize(ring.try_push({&pkt, &ticket, 1}));
-    ring.drain([](const SubmitDesc& d) {
-      d.ticket->status.store(1, std::memory_order_release);
-    });
-    benchmark::DoNotOptimize(ticket.load_acquire());
-  }
-  state.SetItemsProcessed(state.iterations());
-}
-BENCHMARK(BM_SubmitRingSubmitDrain);
-
-/// Contended combining funnel: N-1 producer threads claim descriptors
-/// (doorbell batched at SubmitRing::kDoorbellBatch), one consumer drains.
-/// The per-item time under threads is the headline number the lock-free
-/// submission path buys — producers pay one CAS, not a lock handoff.
-void BM_SubmitRingMultiProducer(benchmark::State& state) {
-  static SubmitRing* ring = nullptr;
-  if (state.thread_index() == 0) ring = new SubmitRing(8192);
-  static Packet pkt;  // producers only pass its address through the ring
-  // Tickets are static so a descriptor still in flight when a producer's
-  // loop ends never points at dead stack. Unlike a real submission nobody
-  // waits on them, so they are written only by the consumer — race-free.
-  static SubmitTicket tickets[8][1024];
-  std::size_t next = 0;
-  for (auto _ : state) {
-    if (state.thread_index() == 0) {
-      ring->drain([](const SubmitDesc& d) {
-        d.ticket->status.store(1, std::memory_order_release);
-      });
-    } else {
-      // No retry on full (the consumer may finish its iterations first);
-      // a full ring counts as one failed claim, as in BM_RingMultiProducer.
-      SubmitTicket& t = tickets[state.thread_index() & 7][next];
-      next = (next + 1) & 1023;
-      benchmark::DoNotOptimize(ring->try_push({&pkt, &t, 1}));
-    }
-  }
-  if (state.thread_index() == 0) {
-    delete ring;
-    ring = nullptr;
-  }
-  state.SetItemsProcessed(state.iterations());
-}
-BENCHMARK(BM_SubmitRingMultiProducer)->Threads(2)->Threads(4);
 
 void BM_PacketInlinePayload(benchmark::State& state) {
   const std::string payload(static_cast<std::size_t>(state.range(0)), 'x');

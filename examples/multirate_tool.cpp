@@ -64,6 +64,7 @@ int main(int argc, char** argv) {
   Table report({"metric", "value"});
   report.add_row({"message rate", format_si(res.msg_rate) + " msg/s"});
   report.add_row({"messages delivered", std::to_string(res.delivered)});
+  report.add_row({"receives failed", std::to_string(res.failed)});
   report.add_row({"measured duration", std::to_string(res.duration_s) + " s"});
   report.add_row({"out-of-sequence",
                   std::to_string(res.receiver_spc.get(Counter::kOutOfSequence))});

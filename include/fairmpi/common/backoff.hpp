@@ -12,10 +12,6 @@
 // and leaves the line alone when it is long; once the budget saturates the
 // wait is assumed scheduler-scale and each round yields (critical on the
 // 1-core CI host, where the holder cannot run while we spin).
-//
-// Callers that escalate (e.g. the submission-ring producer falling back to
-// a blocking lock) key the escalation on rounds(): a saturated backoff that
-// keeps losing is the signal that combining/self-service beats waiting.
 #pragma once
 
 #include <cstdint>
@@ -35,7 +31,6 @@ class Backoff {
   /// Saturated rounds yield instead of spinning — at that point the holder
   /// is likely descheduled and burning the quantum only delays it.
   void pause() noexcept {
-    ++rounds_;
     if (!spin_profitable()) cur_ = max_spin_;  // 1 CPU: spinning blocks the holder
     if (cur_ >= max_spin_) {
       std::this_thread::yield();
@@ -55,23 +50,16 @@ class Backoff {
   }
 
   /// Progress was made: restart the probe cadence.
-  void reset() noexcept {
-    cur_ = kInitialSpin;
-    rounds_ = 0;
-  }
+  void reset() noexcept { cur_ = kInitialSpin; }
 
   /// The exponential budget has hit its cap (pauses are now yields).
   bool saturated() const noexcept { return cur_ >= max_spin_; }
-
-  /// Fruitless probes since the last reset().
-  std::uint32_t rounds() const noexcept { return rounds_; }
 
   static constexpr std::uint32_t kInitialSpin = 16;
   static constexpr std::uint32_t kDefaultMaxSpin = 2048;
 
  private:
   std::uint32_t cur_ = kInitialSpin;
-  std::uint32_t rounds_ = 0;
   std::uint32_t max_spin_;
 };
 

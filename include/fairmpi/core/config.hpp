@@ -24,11 +24,6 @@ struct Config {
   /// Thread -> CRI assignment policy (Algorithm 1).
   cri::Assignment assignment = cri::Assignment::kDedicated;
 
-  /// Per-CRI lock-free submission-ring depth (DESIGN.md §5f). Rounded up
-  /// to a power of two; bounds how many contended injections can queue
-  /// behind a busy instance before producers fall back to blocking.
-  std::size_t submit_ring_entries = cri::CommResourceInstance::kDefaultSubmitEntries;
-
   /// Progress-engine design (serial vs Algorithm 2).
   progress::ProgressMode progress_mode = progress::ProgressMode::kSerial;
 

@@ -32,7 +32,6 @@ namespace fairmpi {
 ///   rx_ring_entries      int >= 2   PER-LANE RX depth (per-source credit
 ///                        window; a context's RX queue is one SPSC lane per
 ///                        source stream, see fabric.hpp)
-///   submit_ring_entries  int >= 2   per-CRI lock-free submission ring
 ///   cq_entries           int >= 2
 ///   max_communicators    int >= 1
 ///   trace                0|1|true|false   enable the per-rank trace ring

@@ -17,11 +17,9 @@
 //     and no cross-domain coherence traffic while the host's topology
 //     leaves room.
 //
-// PR 7 (DESIGN.md §5f) adds the lock-free injection path: each instance
-// carries a SubmitRing, and inject() only takes the instance lock when it
-// is free — a contended producer instead claims a ring slot with one CAS
-// and waits (adaptive backoff, then a profiled blocking acquire) for
-// whichever lock holder flushes the ring on its behalf.
+// Injection takes the instance lock (try-lock, then a timed blocking
+// acquire). The design avoids contention by giving threads their own
+// instances, not by making the shared lock faster (DESIGN.md §5f).
 #pragma once
 
 #include <atomic>
@@ -29,12 +27,10 @@
 #include <vector>
 
 #include "fairmpi/common/align.hpp"
-#include "fairmpi/common/backoff.hpp"
 #include "fairmpi/common/spinlock.hpp"
 #include "fairmpi/debug/lockcheck.hpp"
 #include "fairmpi/debug/thread_safety.hpp"
 #include "fairmpi/fabric/fabric.hpp"
-#include "fairmpi/fabric/submit_ring.hpp"
 #include "fairmpi/obs/utilization.hpp"
 #include "fairmpi/spc/spc.hpp"
 
@@ -51,34 +47,13 @@ enum class Assignment {
 
 const char* assignment_name(Assignment a) noexcept;
 
-/// One instance: context + per-peer endpoints + the protection lock + the
-/// lock-free submission ring. Cache-line aligned so sibling instances in a
-/// pool never share a line (placement, DESIGN.md §5f).
+/// One instance: context + per-peer endpoints + the protection lock.
+/// Cache-line aligned so sibling instances in a pool never share a line
+/// (placement, DESIGN.md §5f).
 class alignas(kCacheLine) CommResourceInstance {
  public:
-  /// Default submission-ring depth; overridable per pool (Config).
-  static constexpr std::size_t kDefaultSubmitEntries = 256;
-
-  /// Fruitless backoff rounds before a queued producer escalates from
-  /// try_lock re-election to a blocking (profiled) acquire. Eight rounds
-  /// is the point where Backoff's exponential budget saturates — past it
-  /// the wait is scheduler-scale and should be attributed, not hidden.
-  static constexpr std::uint32_t kEscalateRounds = 8;
-
-  CommResourceInstance(int id, fabric::Fabric& fabric, fabric::NetworkContext& ctx,
-                       std::size_t submit_entries = kDefaultSubmitEntries)
-      : id_(id),
-        ctx_(&ctx),
-        submit_(submit_entries),
-        // Topology-aware funnel engagement: on a host with one hardware
-        // thread a contended producer can never be drained concurrently
-        // (the combiner is descheduled while the producer polls), so the
-        // claim/ticket machinery is pure overhead over a futex handoff —
-        // measured ~15% multirate regression on the 1-core CI host. An
-        // explicitly configured (non-default) ring size opts in
-        // unconditionally so tests exercise the funnel everywhere.
-        use_funnel_(common::Backoff::spin_profitable() ||
-                    submit_entries != kDefaultSubmitEntries) {
+  CommResourceInstance(int id, fabric::Fabric& fabric, fabric::NetworkContext& ctx)
+      : id_(id), ctx_(&ctx) {
     // lint: allow(hotpath-alloc) ctor: endpoint table sized once per instance
     endpoints_.reserve(static_cast<std::size_t>(fabric.num_ranks()));
     for (int peer = 0; peer < fabric.num_ranks(); ++peer) {
@@ -91,6 +66,12 @@ class alignas(kCacheLine) CommResourceInstance {
 
   int id() const noexcept { return id_; }
   InstanceLock& lock() noexcept FAIRMPI_RETURN_CAPABILITY(lock_) { return lock_; }
+
+  /// Acquire the instance lock: a free lock costs one try_lock; a
+  /// contended one blocks, and the wait is charged to
+  /// kInstanceLockWaitNs. Callers adopt it with
+  /// LockGuard(lock(), adopt_lock).
+  void lock_timed(spc::CounterSet& counters) FAIRMPI_ACQUIRE(lock_);
 
   /// The instance's network context. Deliberately NOT lock-required: the
   /// stall watchdog reads the context's lock-free counters while the
@@ -110,38 +91,17 @@ class alignas(kCacheLine) CommResourceInstance {
   obs::InstanceCounters& stats() noexcept { return stats_; }
   const obs::InstanceCounters& stats() const noexcept { return stats_; }
 
-  /// The lock-free submission ring (producer side; see submit_ring.hpp for
-  /// the protocol). Exposed for tests/benches; production code goes
-  /// through inject()/flush_submissions().
-  fabric::SubmitRing& submit_ring() noexcept { return submit_; }
-
-  /// Inject one eager packet toward `dst` without requiring the caller to
-  /// hold (or even touch, on the contended path) the instance lock:
-  ///
-  ///   free lock   -> take it, flush the ring, inject directly
-  ///   held lock   -> claim a ring slot (one CAS) and wait on the ticket,
-  ///                  re-electing via try_lock (combining funnel) and
-  ///                  escalating to a profiled blocking acquire once the
-  ///                  adaptive backoff saturates
-  ///   full ring   -> blocking acquire (the ring being full means a flush
-  ///                  is overdue anyway)
-  ///
-  /// Returns false on fabric backpressure (destination RX ring full); the
-  /// packet is left intact for the caller's retry loop either way.
+  /// Inject one eager packet toward `dst`: lock_timed(), try_send, release.
+  /// The caller must not hold the instance lock. Returns false on fabric
+  /// backpressure (destination RX ring full); the packet is then left
+  /// intact for the caller's retry loop.
   bool inject(int dst, fabric::Packet& pkt, spc::CounterSet& counters);
-
-  /// Drain the submission ring, injecting each queued descriptor and
-  /// resolving its ticket. Single consumer: callers hold the instance
-  /// lock. Returns descriptors retired.
-  std::size_t flush_submissions() FAIRMPI_REQUIRES(lock_);
 
  private:
   const int id_;
   fabric::NetworkContext* ctx_;
   std::vector<fabric::Endpoint> endpoints_ FAIRMPI_GUARDED_BY(lock_);
   InstanceLock lock_{LockRank::kCriInstance, "cri.instance"};
-  fabric::SubmitRing submit_;
-  const bool use_funnel_;  ///< see ctor: spin-profitable host or explicit size
   obs::InstanceCounters stats_;
 };
 
@@ -149,10 +109,8 @@ class alignas(kCacheLine) CommResourceInstance {
 /// that assigns instances to threads.
 class CriPool {
  public:
-  /// Builds one CRI per context of `rank`'s NIC. `submit_ring_entries`
-  /// sizes each instance's submission ring (Config::submit_ring_entries).
-  CriPool(fabric::Fabric& fabric, int rank, Assignment assignment,
-          std::size_t submit_ring_entries = CommResourceInstance::kDefaultSubmitEntries);
+  /// Builds one CRI per context of `rank`'s NIC.
+  CriPool(fabric::Fabric& fabric, int rank, Assignment assignment);
 
   CriPool(const CriPool&) = delete;
   CriPool& operator=(const CriPool&) = delete;

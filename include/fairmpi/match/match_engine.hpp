@@ -27,6 +27,7 @@
 
 #include <array>
 #include <atomic>
+#include <bit>
 #include <cstdint>
 #include <map>
 #include <memory>
@@ -277,6 +278,13 @@ class MatchEngine : public p2p::CancelScope {
     bool paused = false;  ///< overload kQueue: latched over the cap
     std::array<std::uint32_t, kShedMemory> shed_seqs{};  ///< re-NACK ring
     std::uint32_t shed_n = 0;  ///< total sheds (ring write cursor)
+
+    /// Out-of-sequence packets parked for this peer (ring + spill).
+    std::size_t parked() const noexcept {
+      const std::size_t in_ring =
+          reorder != nullptr ? static_cast<std::size_t>(std::popcount(reorder->present)) : 0;
+      return in_ring + spill.size();
+    }
 
     bool was_shed(std::uint32_t seq) const noexcept {
       const std::uint32_t live = shed_n < kShedMemory ? shed_n : kShedMemory;

@@ -22,7 +22,11 @@
 namespace fairmpi::multirate {
 
 struct MultirateConfig {
-  Config engine;               ///< instances / assignment / progress / overtaking
+  /// Instances / assignment / progress / overtaking. A nonzero
+  /// engine.op_deadline_ns bounds each window of receives like the
+  /// checked ops: a receive still unmatched when it expires fails with
+  /// kDeadlineExceeded and counts in MultirateResult::failed.
+  Config engine;
   int pairs = 1;
   bool process_mode = false;   ///< pair = two single-threaded ranks
   bool comm_per_pair = false;  ///< dedicated communicator per pair (Fig. 3c)
@@ -51,7 +55,8 @@ struct MultirateConfig {
 
 struct MultirateResult {
   double msg_rate = 0.0;          ///< delivered messages per wall second
-  std::uint64_t delivered = 0;    ///< during the timed region
+  std::uint64_t delivered = 0;    ///< receives completed OK during the timed region
+  std::uint64_t failed = 0;       ///< receives that settled with an error (not delivered)
   double duration_s = 0.0;        ///< actual measured duration
   spc::Snapshot receiver_spc;     ///< receiver-side SPC delta (Table II)
 };

@@ -30,10 +30,7 @@ namespace fairmpi::obs {
 /// in drain_visits but not bucketed.
 inline constexpr int kDrainHistBuckets = 7;
 
-/// Submission-ring flush-batch histogram reuses the drain bucket layout
-/// (1, 2, 3-4, 5-8, 9-16, 17-32, 33+): a flush retires at most
-/// ring-capacity descriptors, and the interesting question — does the
-/// combining funnel retire singles or bursts? — has the same shape.
+/// Retired with the submission ring; sizes submit_flush_hist below.
 inline constexpr int kSubmitHistBuckets = kDrainHistBuckets;
 
 /// Plain-value snapshot row for one instance (see InstanceCounters).
@@ -45,11 +42,13 @@ struct InstanceUtilization {
   std::uint64_t orphan_sweeps = 0;
   std::uint64_t drain_visits = 0;
   std::array<std::uint64_t, kDrainHistBuckets> drain_hist{};
-  // Submission-ring telemetry (DESIGN.md §5f).
-  std::uint64_t submit_claimed = 0;      ///< ring slots claimed by producers
-  std::uint64_t submit_doorbells = 0;    ///< batched doorbell rings
-  std::uint64_t submit_cas_retries = 0;  ///< producer tail-CAS collisions
-  std::array<std::uint64_t, kSubmitHistBuckets> submit_flush_hist{};
+  // Retired with the submission ring: nothing writes these, so they
+  // always read 0. Kept until the benchmark drops its cri.submit_*
+  // per-layer metrics.
+  std::uint64_t submit_claimed = 0;      ///< retired: always 0
+  std::uint64_t submit_doorbells = 0;    ///< retired: always 0
+  std::uint64_t submit_cas_retries = 0;  ///< retired: always 0
+  std::array<std::uint64_t, kSubmitHistBuckets> submit_flush_hist{};  ///< retired: all 0
 };
 
 /// The live counters, one per CommResourceInstance. Multiple threads touch
@@ -83,22 +82,6 @@ class alignas(kCacheLine) InstanceCounters {
     own_trylock_misses_.fetch_add(1, std::memory_order_relaxed);
   }
 
-  /// One submission-ring slot claimed by a producer (lock-free path taken),
-  /// with the CAS collisions it took to claim it and whether this claim
-  /// completed a doorbell batch.
-  void note_submit_claim(std::uint32_t cas_retries, bool rang_doorbell) noexcept {
-    if (!enabled()) return;
-    submit_claimed_.fetch_add(1, std::memory_order_relaxed);
-    if (cas_retries != 0) submit_cas_retries_.fetch_add(cas_retries, std::memory_order_relaxed);
-    if (rang_doorbell) submit_doorbells_.fetch_add(1, std::memory_order_relaxed);
-  }
-
-  /// One flush under the instance lock that retired `n` descriptors.
-  void note_submit_flush(std::size_t n) noexcept {
-    if (!enabled() || n == 0) return;
-    submit_flush_hist_[bucket(n)].fetch_add(1, std::memory_order_relaxed);
-  }
-
   InstanceUtilization snapshot() const noexcept {
     InstanceUtilization u;
     u.injections = injections_.load(std::memory_order_relaxed);
@@ -110,13 +93,6 @@ class alignas(kCacheLine) InstanceCounters {
     for (int i = 0; i < kDrainHistBuckets; ++i) {
       u.drain_hist[static_cast<std::size_t>(i)] =
           drain_hist_[static_cast<std::size_t>(i)].load(std::memory_order_relaxed);
-    }
-    u.submit_claimed = submit_claimed_.load(std::memory_order_relaxed);
-    u.submit_doorbells = submit_doorbells_.load(std::memory_order_relaxed);
-    u.submit_cas_retries = submit_cas_retries_.load(std::memory_order_relaxed);
-    for (int i = 0; i < kSubmitHistBuckets; ++i) {
-      u.submit_flush_hist[static_cast<std::size_t>(i)] =
-          submit_flush_hist_[static_cast<std::size_t>(i)].load(std::memory_order_relaxed);
     }
     return u;
   }
@@ -138,10 +114,6 @@ class alignas(kCacheLine) InstanceCounters {
   std::atomic<std::uint64_t> orphan_sweeps_{0};
   std::atomic<std::uint64_t> drain_visits_{0};
   std::array<std::atomic<std::uint64_t>, kDrainHistBuckets> drain_hist_{};
-  std::atomic<std::uint64_t> submit_claimed_{0};
-  std::atomic<std::uint64_t> submit_doorbells_{0};
-  std::atomic<std::uint64_t> submit_cas_retries_{0};
-  std::array<std::atomic<std::uint64_t>, kSubmitHistBuckets> submit_flush_hist_{};
 };
 
 }  // namespace fairmpi::obs

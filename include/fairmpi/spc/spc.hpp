@@ -57,10 +57,11 @@ enum class Counter : int {
   kAcksReceived,           ///< reliability acks processed
   kReliabilityErrors,      ///< typed errors surfaced (budget/retry exhaustion)
   kWatchdogStalls,         ///< stalled instances/rendezvous flagged
-  kSubmitQueued,           ///< injections routed through a submission ring
-  kSubmitRingFull,         ///< submission attempts bounced off a full ring
-  kSubmitDoorbells,        ///< batched doorbells rung by producers
-  kSubmitCasRetries,       ///< submission-ring tail-CAS collisions
+  // Retired with the submission ring: always 0, kept declared until the
+  // benchmark drops its cri.submit_* per-layer metrics.
+  kSubmitQueued,           ///< retired: always 0
+  kSubmitRingFull,         ///< retired: always 0
+  kSubmitCasRetries,       ///< retired: always 0
   kRmaFlushAllBusy,        ///< RMA flush sweeps that found every CRI busy
   kFtHeartbeatsSent,       ///< ft liveness probes injected on idle links
   kFtHeartbeatsReceived,   ///< ft liveness probes consumed

@@ -111,11 +111,6 @@ bool apply_cvar(Config& cfg, std::string_view name, std::string_view value) {
     cfg.fabric.rx_ring_entries = static_cast<std::size_t>(u);
     return true;
   }
-  if (name == "submit_ring_entries") {
-    if (!parse_u64(value, u) || u < 2) return false;
-    cfg.submit_ring_entries = static_cast<std::size_t>(u);
-    return true;
-  }
   if (name == "cq_entries") {
     if (!parse_u64(value, u) || u < 2) return false;
     cfg.fabric.cq_entries = static_cast<std::size_t>(u);
@@ -262,7 +257,6 @@ Config config_from_env(Config base) {
   static constexpr const char* kNames[] = {
       "num_instances", "assignment",      "progress",        "allow_overtaking",
       "progress_batch", "eager_limit",    "rndv_frag_bytes", "rx_ring_entries",
-      "submit_ring_entries",
       "cq_entries",     "max_communicators",
       "fault_drop",    "fault_dup",       "fault_delay",     "fault_reorder",
       "fault_corrupt", "fault_seed",      "reliable",        "rto_ns",
@@ -301,7 +295,6 @@ std::string list_cvars(const Config& cfg) {
      << "eager_limit       = " << cfg.eager_limit << '\n'
      << "rndv_frag_bytes   = " << cfg.rndv_frag_bytes << '\n'
      << "rx_ring_entries   = " << cfg.fabric.rx_ring_entries << '\n'
-     << "submit_ring_entries = " << cfg.submit_ring_entries << '\n'
      << "cq_entries        = " << cfg.fabric.cq_entries << '\n'
      << "max_communicators = " << cfg.max_communicators << '\n'
      << "fault_drop        = " << cfg.faults.drop << '\n'

@@ -29,7 +29,7 @@ overload::Limits limits_from(const Config& cfg) noexcept {
 
 Rank::Rank(Universe& uni, int id)
     : uni_(&uni), id_(id), tracer_(uni.config().trace_entries),
-      pool_(uni.fabric(), id, uni.config().assignment, uni.config().submit_ring_entries),
+      pool_(uni.fabric(), id, uni.config().assignment),
       engine_(pool_, *this, uni.config().progress_mode, spc_, uni.config().progress_batch,
               &tracer_),
       comms_(static_cast<std::size_t>(uni.config().max_communicators)),
@@ -276,9 +276,8 @@ std::size_t Rank::progress() {
 bool Rank::inject_raw(int dst, fabric::Packet&& pkt) {
   const int k = pool_.id_for_thread();
   cri::CommResourceInstance& inst = pool_.instance(k);
-  // Same lock-free submission path as eager_send (DESIGN.md §5f): control
-  // traffic (acks, retransmits) rides the ring when the instance is busy
-  // instead of blocking on the lock.
+  // Same injection path as eager_send: control traffic (acks,
+  // retransmits) takes the instance lock like data does.
   return inst.inject(dst, pkt, spc_);
 }
 

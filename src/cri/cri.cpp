@@ -2,7 +2,6 @@
 
 #include <memory>
 
-#include "fairmpi/common/backoff.hpp"
 #include "fairmpi/common/error.hpp"
 #include "fairmpi/common/timing.hpp"
 #include "fairmpi/common/topology.hpp"
@@ -19,121 +18,24 @@ const char* assignment_name(Assignment a) noexcept {
 
 std::atomic<std::uint64_t> CriPool::next_pool_key_{0};
 
-std::size_t CommResourceInstance::flush_submissions() {
-  const std::size_t n = submit_.drain([this](const fabric::SubmitDesc& d) {
-    // The [C1] acquire in drain() made the producer's packet fully visible;
-    // inject it exactly as the producer would have under the lock.
-    const bool ok = endpoints_[static_cast<std::size_t>(d.dst)].try_send(std::move(*d.pkt));
-    if (ok) stats_.note_injection();
-    // [T1] resolve: release publishes the injection (or, on backpressure,
-    // the fact that try_send left *pkt intact) to the waiting producer.
-    // Past this store the producer owns its packet and ticket again.
-    d.ticket->status.store(
-        static_cast<std::uint8_t>(ok ? fabric::SubmitStatus::kInjected
-                                     : fabric::SubmitStatus::kBackpressure),
-        std::memory_order_release);
-  });
-  stats_.note_submit_flush(n);
-  return n;
+void CommResourceInstance::lock_timed(spc::CounterSet& counters) {
+  if (lock_.try_lock()) return;
+  const std::uint64_t t0 = now_ns();
+  // lint: allow(bare-lock) timed-acquire helper; every caller immediately
+  // adopts with LockGuard(lock(), adopt_lock)
+  lock_.lock();
+  counters.add(spc::Counter::kInstanceLockWaitNs, now_ns() - t0);
 }
 
 bool CommResourceInstance::inject(int dst, fabric::Packet& pkt, spc::CounterSet& counters) {
-  // Fast path: free lock, no waits, no ring traffic — this is what keeps
-  // cri.instance wait-cycles at zero on the uncontended path. The flush is
-  // usually a single empty-frontier load.
-  if (lock_.try_lock()) {
-    LockGuard adopt(lock_, adopt_lock);
-    flush_submissions();
-    const bool ok = endpoints_[static_cast<std::size_t>(dst)].try_send(std::move(pkt));
-    if (ok) stats_.note_injection();
-    return ok;
-  }
-
-  auto spc = counters.cursor();
-  if (!use_funnel_) {
-    // Funnel disengaged (1-hardware-thread host, default ring size — see
-    // the constructor): a blocking profiled acquire IS the optimal
-    // contended path here, since no combiner can run while we poll. Still
-    // flush: other pools' instances may have queued before we were built,
-    // and the explicit-opt-in configs interleave with this path.
-    const std::uint64_t t0 = now_ns();
-    lock_.lock();
-    spc.add(spc::Counter::kInstanceLockWaitNs, now_ns() - t0);
-    LockGuard adopt(lock_, adopt_lock);
-    flush_submissions();
-    const bool ok = endpoints_[static_cast<std::size_t>(dst)].try_send(std::move(pkt));
-    if (ok) stats_.note_injection();
-    return ok;
-  }
-  fabric::SubmitTicket ticket;
-  const fabric::SubmitPushOutcome push = submit_.try_push({&pkt, &ticket, dst});
-  if (!push.ok) {
-    // Ring full: a flush is overdue, so a blocking (profiled) acquire and a
-    // self-service flush is the productive move — queueing behind a full
-    // ring would only deepen the backlog.
-    spc.add(spc::Counter::kSubmitRingFull);
-    const std::uint64_t t0 = now_ns();
-    lock_.lock();
-    spc.add(spc::Counter::kInstanceLockWaitNs, now_ns() - t0);
-    LockGuard adopt(lock_, adopt_lock);
-    flush_submissions();
-    const bool ok = endpoints_[static_cast<std::size_t>(dst)].try_send(std::move(pkt));
-    if (ok) stats_.note_injection();
-    return ok;
-  }
-
-  spc.add(spc::Counter::kSubmitQueued);
-  if (push.rang_doorbell) spc.add(spc::Counter::kSubmitDoorbells);
-  if (push.cas_retries != 0) spc.add(spc::Counter::kSubmitCasRetries, push.cas_retries);
-  stats_.note_submit_claim(push.cas_retries, push.rang_doorbell);
-
-  // Wait for the ticket, re-electing as flusher whenever the lock frees up
-  // (the combining funnel: one acquisition retires every queued
-  // submission). The backoff keeps the lock's cache line quiet while the
-  // holder works; once it saturates we ring the doorbell (the "timeout"
-  // arm of the batching rule) and fall through to a blocking acquire so a
-  // long hold shows up as attributed cri.instance wait time instead of an
-  // invisible spin.
-  common::Backoff backoff;
-  bool escalated = false;
-  for (;;) {
-    const fabric::SubmitStatus st = ticket.load_acquire();
-    if (st != fabric::SubmitStatus::kPending) {
-      return st == fabric::SubmitStatus::kInjected;
-    }
-    bool held;
-    if (escalated) {
-      const std::uint64_t t0 = now_ns();
-      // lint: allow(bare-lock) timed escalation acquire, adopted by the LockGuard in the if (held) branch below
-      lock_.lock();
-      spc.add(spc::Counter::kInstanceLockWaitNs, now_ns() - t0);
-      held = true;
-    } else {
-      held = lock_.try_lock();
-    }
-    if (held) {
-      LockGuard adopt(lock_, adopt_lock);
-      flush_submissions();
-      // Our descriptor is published, so the flush retired it unless an
-      // earlier claim is still mid-fill (publish frontier short of us);
-      // loop to re-check — the hole closes within a few stores.
-      continue;
-    }
-    backoff.pause();
-    // Saturation means the pauses have become yields — scheduler-scale
-    // waiting, where a blocking (futex) acquire beats polling. On a 1-CPU
-    // host Backoff saturates on the first pause, so contended producers go
-    // straight to the futex instead of burning the holder's quantum.
-    if (!escalated &&
-        (backoff.saturated() || backoff.rounds() >= kEscalateRounds)) {
-      escalated = true;
-      submit_.ring_doorbell();
-    }
-  }
+  lock_timed(counters);
+  LockGuard adopt(lock_, adopt_lock);
+  const bool ok = endpoints_[static_cast<std::size_t>(dst)].try_send(std::move(pkt));
+  if (ok) stats_.note_injection();
+  return ok;
 }
 
-CriPool::CriPool(fabric::Fabric& fabric, int rank, Assignment assignment,
-                 std::size_t submit_ring_entries)
+CriPool::CriPool(fabric::Fabric& fabric, int rank, Assignment assignment)
     : assignment_(assignment),
       pool_key_(next_pool_key_.fetch_add(1, std::memory_order_relaxed)) {
   fabric::Nic& nic = fabric.nic(rank);
@@ -143,7 +45,7 @@ CriPool::CriPool(fabric::Fabric& fabric, int rank, Assignment assignment,
   for (int i = 0; i < n; ++i) {
     instances_.push_back(
         // lint: allow(hotpath-alloc) ctor: one instance per NIC context
-        std::make_unique<CommResourceInstance>(i, fabric, nic.context(i), submit_ring_entries));
+        std::make_unique<CommResourceInstance>(i, fabric, nic.context(i)));
   }
   FAIRMPI_CHECK(!instances_.empty());
   // Domain layout i mod D: consecutive instances land on distinct

@@ -226,12 +226,22 @@ std::size_t MatchEngine::incoming(fabric::Packet&& pkt, Admission* admission) {
   // cap and nothing is lost. A lossy fabric cannot defer (an unanswered
   // drop there is silent loss), so it falls through to the latch-and-
   // trickle soft throttle in match_one instead.
+  //
+  // A packet that would park out of sequence counts the peer's parked
+  // packets against the cap too: parked packets were acked at park time,
+  // so they are admitted unconditionally once the gap fills, and a burst
+  // of retransmits arriving out of order would otherwise grow the queue
+  // past any bound. The in-order packet is exempt — it is the one that
+  // fills the gap, and deferring it behind parked packets would wedge the
+  // stream. The backlog is thereby bounded by 2 * cap.
   if (admission != nullptr && gov_ != nullptr && reliable_) {
     const overload::Limits& lim = gov_->limits();
     PeerState& ps = peer(src);
+    std::size_t depth = ps.unexpected_n;
+    if (!allow_overtaking_ && pkt.hdr.seq != ps.expected_seq) depth += ps.parked();
     if (lim.unexpected_cap != 0 &&
         lim.unexpected_policy == overload::Policy::kQueue &&
-        ps.unexpected_n >= lim.unexpected_cap) {
+        depth >= lim.unexpected_cap) {
       if (!ps.paused) {
         ps.paused = true;
         gov_->pause_peer();

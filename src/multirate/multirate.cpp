@@ -17,6 +17,18 @@ namespace fairmpi::multirate {
 
 namespace {
 
+/// Absolute deadline for a window of receives posted now (0 = none), the
+/// same rule the checked ops apply to Config::op_deadline_ns.
+std::uint64_t window_deadline(const Config& engine) {
+  return engine.op_deadline_ns == 0 ? 0 : now_ns() + engine.op_deadline_ns;
+}
+
+/// Tally a completed window: receives that settled with an error are not
+/// deliveries.
+void tally(const std::vector<Request>& reqs, std::uint64_t& ok, std::uint64_t& failed) {
+  for (const Request& r : reqs) ++(r.failed() ? failed : ok);
+}
+
 struct PairEndpoints {
   Rank* sender = nullptr;
   Rank* receiver = nullptr;
@@ -136,6 +148,7 @@ MultirateResult run_pairwise(const MultirateConfig& cfg) {
   std::atomic<bool> stop{false};
   std::atomic<int> receivers_done{0};
   std::atomic<std::uint64_t> delivered{0};
+  std::atomic<std::uint64_t> failed{0};
   // +1 for the coordinator thread that runs the clock.
   std::barrier sync(cfg.pairs * 2 + 1);
 
@@ -194,20 +207,21 @@ MultirateResult run_pairwise(const MultirateConfig& cfg) {
 
     sync.arrive_and_wait();
     std::uint64_t my_count = 0;
+    std::uint64_t my_failed = 0;
     Request ack;
     while (!stop.load(std::memory_order_acquire)) {
+      const std::uint64_t deadline = window_deadline(engine);
       for (int i = 0; i < cfg.window; ++i) {
         ep.receiver->irecv(ep.comm, src, tag,
                            buf.data() + static_cast<std::size_t>(i) * (n ? n : 1), n,
-                           reqs[static_cast<std::size_t>(i)]);
+                           reqs[static_cast<std::size_t>(i)], deadline);
       }
       ep.receiver->wait_all(ptrs.data(), ptrs.size());
       ep.receiver->isend(ep.comm, src, ack_tag, nullptr, 0, ack);
-      if (timing.load(std::memory_order_acquire)) {
-        my_count += static_cast<std::uint64_t>(cfg.window);
-      }
+      if (timing.load(std::memory_order_acquire)) tally(reqs, my_count, my_failed);
     }
     delivered.fetch_add(my_count, std::memory_order_relaxed);
+    failed.fetch_add(my_failed, std::memory_order_relaxed);
     receivers_done.fetch_add(1, std::memory_order_release);
   };
 
@@ -246,6 +260,7 @@ MultirateResult run_pairwise(const MultirateConfig& cfg) {
 
   MultirateResult res;
   res.delivered = delivered.load();
+  res.failed = failed.load();
   res.duration_s = elapsed;
   res.msg_rate = static_cast<double>(res.delivered) / elapsed;
   res.receiver_spc = spc_after.delta_since(spc_before);
@@ -270,6 +285,7 @@ MultirateResult run_incast(const MultirateConfig& cfg) {
   std::atomic<bool> stop{false};
   std::atomic<bool> receiver_done{false};
   std::atomic<std::uint64_t> delivered{0};
+  std::atomic<std::uint64_t> failed{0};
   // Aggregate flow control: senders stay at most kMaxInFlight messages
   // ahead of the receiver's consumption, bounding the unexpected-queue
   // backlog (the eager-buffer-limit analog; N free-running senders would
@@ -304,19 +320,27 @@ MultirateResult run_incast(const MultirateConfig& cfg) {
     std::vector<std::uint8_t> buf((n ? n : 1) * static_cast<std::size_t>(cfg.window));
     sync.arrive_and_wait();
     std::uint64_t my_count = 0;
+    std::uint64_t my_failed = 0;
     while (!stop.load(std::memory_order_acquire)) {
+      const std::uint64_t deadline = window_deadline(engine);
       for (int i = 0; i < cfg.window; ++i) {
         receiver_rank.irecv(kWorldComm, 0, kTag,
                             buf.data() + static_cast<std::size_t>(i) * (n ? n : 1), n,
-                            reqs[static_cast<std::size_t>(i)]);
+                            reqs[static_cast<std::size_t>(i)], deadline);
       }
       receiver_rank.wait_all(ptrs.data(), ptrs.size());
-      consumed.fetch_add(static_cast<std::uint64_t>(cfg.window), std::memory_order_release);
+      // A failed receive consumed no message: it stays in flight.
+      std::uint64_t ok = 0;
+      std::uint64_t bad = 0;
+      tally(reqs, ok, bad);
+      consumed.fetch_add(ok, std::memory_order_release);
       if (timing.load(std::memory_order_acquire)) {
-        my_count += static_cast<std::uint64_t>(cfg.window);
+        my_count += ok;
+        my_failed += bad;
       }
     }
     delivered.store(my_count, std::memory_order_relaxed);
+    failed.store(my_failed, std::memory_order_relaxed);
     receiver_done.store(true, std::memory_order_release);
   };
 
@@ -340,6 +364,7 @@ MultirateResult run_incast(const MultirateConfig& cfg) {
 
   MultirateResult res;
   res.delivered = delivered.load();
+  res.failed = failed.load();
   res.duration_s = elapsed;
   res.msg_rate = static_cast<double>(res.delivered) / elapsed;
   res.receiver_spc = receiver_rank.counters().snapshot().delta_since(before);

@@ -181,13 +181,6 @@ void Universe::dump_observability(std::ostream& os) const {
       for (int b = 0; b < obs::kDrainHistBuckets; ++b) {
         os << (b == 0 ? "" : ", ") << u.drain_hist[static_cast<std::size_t>(b)];
       }
-      os << "], \"submit_claimed\": " << u.submit_claimed
-         << ", \"submit_doorbells\": " << u.submit_doorbells
-         << ", \"submit_cas_retries\": " << u.submit_cas_retries
-         << ", \"submit_flush_hist\": [";
-      for (int b = 0; b < obs::kSubmitHistBuckets; ++b) {
-        os << (b == 0 ? "" : ", ") << u.submit_flush_hist[static_cast<std::size_t>(b)];
-      }
       os << "]}";
     }
     os << "\n    ], \"ft\": ";

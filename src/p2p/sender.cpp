@@ -143,10 +143,8 @@ common::ErrorCode eager_send(CommState& comm, cri::CriPool& pool,
     const int k = pool.id_for_thread();
     cri::CommResourceInstance& inst = pool.instance(k);
 
-    // Lock-free submission path (DESIGN.md §5f): a free instance lock is
-    // taken and used directly; a held one means the packet rides the
-    // submission ring and whoever holds the lock injects on our behalf.
-    // Either way the packet is intact again on backpressure.
+    // inject() takes the instance lock (timed when contended, DESIGN.md
+    // §5f); the packet is intact again on backpressure.
     const bool injected = inst.inject(dst, pkt, counters);
     if (injected) break;
 

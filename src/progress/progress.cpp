@@ -25,11 +25,6 @@ void ProgressEngine::drain_locked(cri::CommResourceInstance& inst, DrainBatch& b
   const std::size_t cap =
       static_cast<std::size_t>(batch_) < kMaxDrainBatch ? static_cast<std::size_t>(batch_)
                                                         : kMaxDrainBatch;
-  // Submission ring first: queued injections become RX/CQ traffic the pops
-  // below can then harvest in the same visit (and the producers parked on
-  // their tickets wake). This is the consumer half of the doorbell
-  // protocol — we hold the instance lock, so we are *the* flusher.
-  inst.flush_submissions();
   // Completion queue first: completions release resources (RMA pending
   // counts, send credits) that the packet path may be waiting on. The
   // per-visit cap bounds lock hold time; wait loops call progress()

@@ -53,20 +53,6 @@ WindowGroup::WindowGroup(Universe& universe, const std::vector<Region>& regions)
   }
 }
 
-namespace {
-/// Lock an instance, timing the wait only when contended (same accounting
-/// as the two-sided send path).
-void lock_timed(cri::CommResourceInstance& inst, spc::CounterSet& counters)
-    FAIRMPI_ACQUIRE(inst.lock()) {
-  if (inst.lock().try_lock()) return;
-  const std::uint64_t t0 = now_ns();
-  // lint: allow(bare-lock) timed-acquire helper; every caller immediately
-  // adopts with LockGuard(inst.lock(), adopt_lock)
-  inst.lock().lock();
-  counters.add(Counter::kInstanceLockWaitNs, now_ns() - t0);
-}
-}  // namespace
-
 void Window::post_completion(cri::CommResourceInstance& inst) {
   PendingSlot& slot = thread_slot();
   slot.count->fetch_add(1, std::memory_order_relaxed);
@@ -98,7 +84,7 @@ void Window::put(int target, std::size_t disp, const void* src, std::size_t n) {
   if (fail_if_dead(target)) return;
 
   cri::CommResourceInstance& inst = rank_->pool().instance(rank_->pool().id_for_thread());
-  lock_timed(inst, rank_->counters());
+  inst.lock_timed(rank_->counters());
   {
     LockGuard adopt(inst.lock(), adopt_lock);
     if (n != 0) {
@@ -118,7 +104,7 @@ void Window::get(int target, std::size_t disp, void* dst, std::size_t n) {
   if (fail_if_dead(target)) return;
 
   cri::CommResourceInstance& inst = rank_->pool().instance(rank_->pool().id_for_thread());
-  lock_timed(inst, rank_->counters());
+  inst.lock_timed(rank_->counters());
   {
     LockGuard adopt(inst.lock(), adopt_lock);
     if (n != 0) {
@@ -144,7 +130,7 @@ std::uint64_t Window::fetch_add_u64(int target, std::size_t disp, std::uint64_t 
   if (fail_if_dead(target)) return 0;
 
   cri::CommResourceInstance& inst = rank_->pool().instance(rank_->pool().id_for_thread());
-  lock_timed(inst, rank_->counters());
+  inst.lock_timed(rank_->counters());
   std::uint64_t old = 0;
   {
     LockGuard adopt(inst.lock(), adopt_lock);
@@ -199,7 +185,7 @@ void Window::drain_until(DonePredicate done) {
     rank_->counters().add(Counter::kRmaFlushAllBusy);
     if (waiter.saturated()) {
       cri::CommResourceInstance& inst = pool.instance(own);
-      lock_timed(inst, rank_->counters());
+      inst.lock_timed(rank_->counters());
       LockGuard adopt(inst.lock(), adopt_lock);
       rank_->engine().progress_instance_locked(inst);
       waiter.reset();

@@ -36,7 +36,6 @@ const char* counter_name(Counter c) noexcept {
     case Counter::kWatchdogStalls: return "WatchdogStalls";
     case Counter::kSubmitQueued: return "SubmitQueued";
     case Counter::kSubmitRingFull: return "SubmitRingFull";
-    case Counter::kSubmitDoorbells: return "SubmitDoorbells";
     case Counter::kSubmitCasRetries: return "SubmitCasRetries";
     case Counter::kRmaFlushAllBusy: return "RmaFlushAllBusy";
     case Counter::kFtHeartbeatsSent: return "FtHeartbeatsSent";

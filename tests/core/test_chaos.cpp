@@ -156,19 +156,18 @@ TEST(Chaos, ExactlyOnceConcurrentSenders) {
   EXPECT_EQ(uni.aggregate_counters().get(Counter::kReliabilityErrors), 0u);
 }
 
-TEST(Chaos, ExactlyOnceSubmitRingOversubscribed) {
-  // Submission-ring stress under a lossy fabric: one instance, dedicated
-  // assignment, more sender threads than instances, and a deliberately tiny
-  // ring (8 entries) so producers hit every ring path — combining-funnel
-  // flushes, full-ring blocking acquires, doorbell escalation — while the
-  // reliability layer retransmits around drops. Exactly-once delivery and
-  // per-tag FIFO must hold regardless of which path each packet took.
+TEST(Chaos, ExactlyOnceCriContendedOversubscribed) {
+  // Contended-injection stress under a lossy fabric: one instance,
+  // dedicated assignment and more sender threads than instances, so
+  // senders, acks and retransmits keep meeting a held instance lock and
+  // take the timed blocking acquire while the reliability layer
+  // retransmits around drops. Exactly-once delivery and per-tag FIFO must
+  // hold whichever path each packet took.
   ScopedChaosEnvClear env;
   Config cfg = lossy_config();
   cfg.num_instances = 1;
   cfg.assignment = cri::Assignment::kDedicated;
   cfg.progress_mode = progress::ProgressMode::kConcurrent;
-  cfg.submit_ring_entries = 8;
   Universe uni(cfg);
   constexpr int kThreads = 4;
   constexpr std::uint32_t kPerThread = 150;

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <set>
 #include <thread>
 #include <vector>
@@ -119,6 +120,47 @@ TEST(CriPool, EndpointsReachEveryPeer) {
   for (int peer = 0; peer < 3; ++peer) {
     EXPECT_EQ(pool.instance(0).endpoint(peer).dst_rank(), peer);
   }
+}
+
+TEST(CriInstance, ContendedInjectBlocksUntilUnlockAndTimesTheWait) {
+  // The only contended injection path: a holder pins the instance lock
+  // while another thread injects. inject() must not return before the
+  // unlock, must put exactly one packet on the peer's RX lane, and must
+  // charge the wait to kInstanceLockWaitNs. The injector can lose the race
+  // to the lock and find it free (a descheduled thread on a busy host), so
+  // each attempt holds longer, until a wait is recorded.
+  fabric::Fabric fabric({1, 1});
+  CriPool pool(fabric, 0, Assignment::kDedicated);
+  CommResourceInstance& inst = pool.instance(0);
+  fabric::RxQueue& peer_rx = fabric.nic(1).context(0).rx();
+  spc::CounterSet counters;
+  for (int attempt = 1; attempt <= 50; ++attempt) {
+    std::atomic<bool> held{false};
+    std::atomic<bool> entering{false};
+    std::atomic<bool> returned{false};
+    std::thread holder([&] {
+      LockGuard pin(inst.lock());
+      held.store(true, std::memory_order_release);
+      while (!entering.load(std::memory_order_acquire)) {
+      }
+      std::this_thread::sleep_for(std::chrono::milliseconds(3 * attempt));
+      EXPECT_FALSE(returned.load(std::memory_order_acquire)) << "inject() beat the unlock";
+    });
+    while (!held.load(std::memory_order_acquire)) {
+    }
+    fabric::Packet pkt;
+    pkt.hdr.opcode = fabric::Opcode::kEager;
+    entering.store(true, std::memory_order_release);
+    EXPECT_TRUE(inst.inject(1, pkt, counters));
+    returned.store(true, std::memory_order_release);
+    holder.join();
+
+    fabric::Packet out;
+    EXPECT_TRUE(peer_rx.try_pop(out));
+    EXPECT_FALSE(peer_rx.try_pop(out)) << "exactly one packet per inject()";
+    if (counters.get(spc::Counter::kInstanceLockWaitNs) > 0) return;
+  }
+  ADD_FAILURE() << "no contended inject() recorded a lock wait";
 }
 
 TEST(CriPool, AssignmentNames) {

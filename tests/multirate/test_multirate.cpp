@@ -95,6 +95,19 @@ TEST(Multirate, PayloadBytesFlow) {
   EXPECT_GE(res.receiver_spc.get(Counter::kBytesReceived), res.delivered * 1024);
 }
 
+TEST(Multirate, FailedReceivesAreNotDelivered) {
+  // A 1 ns receive deadline: every receive not matched the moment it is
+  // posted settles kDeadlineExceeded. Those receives carried no message,
+  // so they must be reported as failed and left out of delivered.
+  MultirateConfig cfg = quick(1);
+  cfg.engine.op_deadline_ns = 1;
+  const auto res = run_pairwise(cfg);
+  EXPECT_GT(res.failed, 0u);
+  EXPECT_GT(res.receiver_spc.get(Counter::kDeadlineExceededOps), 0u);
+  // Every counted window is split between the two tallies.
+  EXPECT_EQ((res.delivered + res.failed) % static_cast<std::uint64_t>(cfg.window), 0u);
+}
+
 TEST(MultirateIncast, SingleSenderDelivers) {
   MultirateConfig cfg = quick(1);
   const auto res = multirate::run_incast(cfg);
@@ -102,6 +115,14 @@ TEST(MultirateIncast, SingleSenderDelivers) {
   if (!chaos_env()) {
     EXPECT_EQ(res.receiver_spc.get(Counter::kOutOfSequence), 0u);  // one stream
   }
+}
+
+TEST(MultirateIncast, FailedReceivesAreNotDelivered) {
+  MultirateConfig cfg = quick(1);
+  cfg.engine.op_deadline_ns = 1;  // see Multirate.FailedReceivesAreNotDelivered
+  const auto res = multirate::run_incast(cfg);
+  EXPECT_GT(res.failed, 0u);
+  EXPECT_EQ((res.delivered + res.failed) % static_cast<std::uint64_t>(cfg.window), 0u);
 }
 
 TEST(MultirateIncast, ManySendersShareOneStream) {

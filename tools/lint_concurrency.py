@@ -141,11 +141,9 @@ HOTPATH_FILES = {
     "src/obs/contention.cpp",
     "include/fairmpi/obs/contention.hpp",
     "include/fairmpi/obs/utilization.hpp",
-    # The lock-free injection path (DESIGN.md §5f): the submission funnel,
-    # the per-source RX lanes, the producer backoff, and the inject/flush
-    # logic itself all run per-packet. Everything here must be setup-time
-    # (ctor, first-bind) or annotated.
-    "include/fairmpi/fabric/submit_ring.hpp",
+    # The injection path (DESIGN.md §5f): the per-source RX lanes, the
+    # retry backoff, and the inject logic itself all run per-packet.
+    # Everything here must be setup-time (ctor, first-bind) or annotated.
     "include/fairmpi/common/spsc_ring.hpp",
     "include/fairmpi/common/backoff.hpp",
     "include/fairmpi/fabric/wire.hpp",

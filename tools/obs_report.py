@@ -222,26 +222,6 @@ def report_obs(path: str, require_wait: list[str]) -> None:
         util_rows))
     print()
 
-    # --- per-CRI submission ring (lock-free injection path, DESIGN.md §5f) ---
-    # Older snapshots (pre-PR-7) have no submit fields; skip the table then.
-    submit_rows = []
-    for rank in doc["ranks"]:
-        for inst in rank["instances"]:
-            if "submit_claimed" not in inst:
-                continue
-            submit_rows.append([
-                f"r{rank['rank']}.cri{inst['id']}",
-                str(inst["submit_claimed"]), str(inst["submit_doorbells"]),
-                str(inst["submit_cas_retries"]),
-                "/".join(str(h) for h in inst["submit_flush_hist"]),
-            ])
-    if submit_rows:
-        print("per-CRI submission ring:")
-        print(render_table(
-            ["instance", "claimed", "doorbells", "cas-retries",
-             "flush-hist(1/2/4/8/16/32/33+)"],
-            submit_rows))
-
     # --- overload control (DESIGN.md §5h) ---
     # Older snapshots (pre-§5h) have no overload/payload_pool keys; the
     # per-rank view is null when no cap is configured.
