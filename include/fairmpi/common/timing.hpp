@@ -1,6 +1,7 @@
 // Wall-clock timing utilities for the real backend and the benches.
 #pragma once
 
+#include <atomic>
 #include <chrono>
 #include <cstdint>
 
@@ -12,6 +13,30 @@ inline std::uint64_t now_ns() noexcept {
       std::chrono::duration_cast<std::chrono::nanoseconds>(
           std::chrono::steady_clock::now().time_since_epoch())
           .count());
+}
+
+/// "Nothing armed" value of a due time (DESIGN.md §5 "Timed work"). An arm
+/// lowers a due time inside the critical section that publishes its entry;
+/// the runner claims a passed due time *before* sweeping those entries
+/// under the same locks, then lowers it to the earliest survivor. So no
+/// arm is lost, and only a runner ever raises a due time.
+inline constexpr std::uint64_t kNever = ~std::uint64_t{0};
+
+/// Lower `due` to `t` when `t` is earlier (CAS-min).
+inline void lower_due(std::atomic<std::uint64_t>& due, std::uint64_t t) noexcept {
+  std::uint64_t cur = due.load(std::memory_order_relaxed);
+  while (t < cur && !due.compare_exchange_weak(cur, t, std::memory_order_acq_rel)) {
+  }
+}
+
+/// Claim `due` once it passed `now` (swap to kNever): true for the one
+/// caller that runs the work it stands for.
+inline bool claim_due(std::atomic<std::uint64_t>& due, std::uint64_t now) noexcept {
+  std::uint64_t cur = due.load(std::memory_order_relaxed);
+  while (cur <= now) {
+    if (due.compare_exchange_weak(cur, kNever, std::memory_order_acq_rel)) return true;
+  }
+  return false;
 }
 
 /// Cheap cycle counter for hot-path interval timing.

@@ -24,6 +24,7 @@
 
 #include "fairmpi/common/error.hpp"
 #include "fairmpi/common/spinlock.hpp"
+#include "fairmpi/common/timing.hpp"
 #include "fairmpi/core/config.hpp"
 #include "fairmpi/debug/lockcheck.hpp"
 #include "fairmpi/debug/thread_safety.hpp"
@@ -187,6 +188,9 @@ class Rank final : public progress::PacketSink,
   /// stall watchdog (null when watchdog_interval_ns is ~0) — test hooks.
   p2p::ReliabilityTracker* reliability() noexcept { return tracker_.get(); }
   progress::Watchdog* watchdog() noexcept { return watchdog_.get(); }
+  /// Rendezvous transfers still registered (sends + receives, tombstones
+  /// included) — test hook and quiesce diagnostics.
+  std::size_t rendezvous_pending() const;
 
   /// The overload governor (DESIGN.md §5h): degradation level, paused-peer
   /// count, resolved caps. Always present; with no caps configured it is
@@ -230,19 +234,43 @@ class Rank final : public progress::PacketSink,
   Rank(Universe& uni, int id);
   void install_comm(CommId id, std::vector<int> members = {});
 
+  // --- timed work (DESIGN.md §5 "Timed work") ---
+  /// The retransmit sweep when its due time passed, then, under the
+  /// runner_ claim, each rank-level sweep that is due.
+  void run_timed_work(std::uint64_t now);
+  /// Expire posted receives and rendezvous transfers past their deadline;
+  /// returns the earliest surviving deadline.
+  std::uint64_t expire_deadlines(std::uint64_t now);
+
+  // --- typed settlement (p2p/settle.hpp) ---
+  /// Apply settle_account(code): counter, trace (peer + 1, detail), report.
+  void account(common::ErrorCode code, int peer, std::uint64_t detail) noexcept;
+  /// Fail `req` typed `code`; accounted only when this call won the settle.
+  bool settle(p2p::Request* req, common::ErrorCode code, int peer,
+              std::uint64_t detail = 0) noexcept;
+  struct RndvVictim {
+    p2p::Request* req;
+    int peer;
+  };
+  /// The one walk of both rendezvous registries: claims every live
+  /// transfer a pick selects, under rndv_lock_, for settling outside it.
+  /// Sends are extracted when `extract_sends`, else tombstoned with the
+  /// receives (the rule in p2p/rendezvous.hpp).
+  template <class PickSend, class PickRecv>
+  std::vector<RndvVictim> claim_rendezvous(bool extract_sends, PickSend pick_send,
+                                           PickRecv pick_recv);
+
   // --- ft layer (see ft/failure_detector.hpp; DESIGN.md §5g) ---
-  /// One detection sweep from progress(): classify under the detector lock,
+  /// One detection sweep from the runner: classify under the detector lock,
   /// then (lock-free) inject heartbeats toward idle links and run failure
-  /// propagation for newly confirmed deaths.
-  void ft_poll(std::uint64_t now);
+  /// propagation for newly confirmed deaths. Returns the next due time.
+  std::uint64_t ft_poll(std::uint64_t now);
   /// Single-attempt header-only liveness probe (never tracked, never acked).
   void send_heartbeat(int dst);
   /// Failure propagation for one confirmed-dead peer: fail tracked sends,
   /// purge posted receives on every installed communicator, fail in-flight
   /// rendezvous transfers, report one typed error.
   void on_peer_dead(int peer);
-  /// Rendezvous part of the propagation (rndv registry purge).
-  void fail_rendezvous_peer(int peer);
 
   // --- rendezvous protocol (see p2p/rendezvous.hpp) ---
   void rndv_isend(CommId comm, int dst, int tag, const void* buf, std::size_t n,
@@ -270,17 +298,10 @@ class Rank final : public progress::PacketSink,
   /// send when the NACKed packet was an RTS.
   void handle_nack(const fabric::WireHeader& hdr);
 
-  // --- overload control & deadlines (DESIGN.md §5h) ---
-  /// Deadline/ladder poll from progress(): expire posted receives (per
-  /// match engine) and rendezvous transfers past their deadline, then
-  /// re-sample the degradation ladder (throttled). Gated so the
-  /// no-deadline, no-cap configuration pays two relaxed loads.
-  void overload_poll(std::uint64_t now);
-  /// Lower the rank-level deadline gate to `deadline_ns` (CAS-min).
-  void arm_deadline(std::uint64_t deadline_ns) noexcept;
-  /// Tombstone + fail rendezvous transfers past their deadline; lowers
-  /// `*next` to the earliest surviving rendezvous deadline.
-  void expire_rendezvous_deadlines(std::uint64_t now, std::uint64_t* next);
+  // --- overload control (DESIGN.md §5h) ---
+  /// Re-sample the degradation ladder, throttled to 1-in-64 progress
+  /// visits; progress() calls it only with the governor enabled.
+  void sample_governor();
   /// Transmit deferred acks (single injection attempt each; a full ring
   /// stops the flush — the peer retransmits and we re-ack). Kept separate
   /// from drain_control so every backpressure wait loop can call it: acks
@@ -288,7 +309,8 @@ class Rank final : public progress::PacketSink,
   /// deadlock waiting for each other's acks.
   void flush_acks();
   /// Retransmit expired in-flight packets; fail retry-exhausted ones typed.
-  void reliability_sweep(std::uint64_t now);
+  /// Returns the earliest deadline still tracked.
+  std::uint64_t reliability_sweep(std::uint64_t now);
   /// Report a typed error through the installed sink (if any).
   void report_error(const common::Error& err) noexcept;
 
@@ -303,11 +325,17 @@ class Rank final : public progress::PacketSink,
   /// Overload control block (§5h): constructed from the Config caps;
   /// atomics-only, so it takes no rank in the lock hierarchy.
   overload::Governor governor_;
-  /// Earliest sweepable deadline on this rank (~0 = none): posted receives
-  /// and rendezvous transfers arm it; overload_poll's one-relaxed-load
-  /// gate. Raised after a sweep only by a CAS conditioned on the pre-sweep
-  /// value, so a concurrent arm is never lost.
-  std::atomic<std::uint64_t> earliest_deadline_{~std::uint64_t{0}};
+  /// This rank's due time: the earliest of the watchdog and detector
+  /// cadences and every armed deadline (timing.hpp).
+  std::atomic<std::uint64_t> due_ns_{kNever};
+  /// Runner claim: one thread at a time runs this rank's sweeps, its
+  /// tracker's retransmit sweep included, which keeps the fields below
+  /// single-writer and never clones the same claimed entries twice.
+  std::atomic<bool> runner_{false};
+  std::uint64_t watchdog_due_ = 0;  ///< runner-owned: next watchdog sweep
+  std::uint64_t ft_due_ = 0;        ///< runner-owned: next detector sweep
+  std::vector<int> ft_probes_;      ///< runner-owned detector scratch
+  std::vector<int> ft_newly_dead_;
   /// Progress-visit counter throttling governor ladder sampling.
   std::atomic<std::uint64_t> overload_visits_{0};
 
@@ -316,22 +344,12 @@ class Rank final : public progress::PacketSink,
   std::unique_ptr<ft::FailureDetector> ft_;  ///< Config::ft_enabled only
   common::ErrorSink err_sink_ = nullptr;
   void* err_user_ = nullptr;
-  /// Reentrancy guard: a retransmit injection can recurse into progress(),
-  /// which must not start a second sweep on the same stack (or convoy
-  /// concurrent threads into duplicate retransmit bursts).
-  std::atomic<bool> sweeping_{false};
-  /// Same shape for the detector sweep: exactly one thread at a time runs
-  /// ft_poll, which makes the probe/death scratch vectors below safely
-  /// single-writer without per-poll allocation.
-  std::atomic<bool> ft_polling_{false};
-  std::vector<int> ft_probes_;
-  std::vector<int> ft_newly_dead_;
 
   // Rendezvous registries and the deferred-send queue. A plain mutex-style
   // spinlock is fine here: traffic is one entry per large message, not per
   // fragment-byte. Both rank above match: they are acquired from
   // on_rts_matched with the match lock (and a CRI lock) held.
-  RankedLock<Spinlock> rndv_lock_{LockRank::kRndvState, "rank.rndv-state"};
+  mutable RankedLock<Spinlock> rndv_lock_{LockRank::kRndvState, "rank.rndv-state"};
   std::uint64_t next_cookie_ FAIRMPI_GUARDED_BY(rndv_lock_) = 1;
   std::unordered_map<std::uint64_t, std::unique_ptr<p2p::RndvSendState>> rndv_sends_
       FAIRMPI_GUARDED_BY(rndv_lock_);
@@ -419,6 +437,8 @@ class Universe {
 
  private:
   friend class Rank;
+  /// Retransmit due time: trackers lower it, sweep_reliability claims it.
+  std::atomic<std::uint64_t> retransmit_due_{kNever};
   Config cfg_;
   fabric::Fabric fabric_;
   std::vector<std::unique_ptr<Rank>> ranks_;

@@ -100,15 +100,17 @@ class FailureDetector {
         std::memory_order_acquire);
   }
 
-  /// One detection sweep, driven from the owning rank's progress loop.
+  /// One detection sweep, driven by the owning rank's timed-work runner.
   /// Under the table lock this only *classifies*: live peers whose link
   /// has not been probed for a heartbeat interval land in `probes` (the
   /// caller injects Opcode::kHeartbeat toward them), peers whose suspicion just ran out
   /// of strikes land in `newly_dead` (the caller runs failure
-  /// propagation). Returns false when gated by cadence or when another
-  /// thread holds the sweep. Both vectors are appended to, not cleared.
-  bool poll(std::uint64_t now_ns, std::vector<int>& probes,
-            std::vector<int>& newly_dead);
+  /// propagation). Both vectors are appended to, not cleared. Returns the
+  /// next due time: half the probe interval out, so a strike round is never
+  /// skipped wholesale by aliasing — or `now_ns` when another thread holds
+  /// the sweep, so the runner retries on its next pass.
+  std::uint64_t poll(std::uint64_t now_ns, std::vector<int>& probes,
+                     std::vector<int>& newly_dead);
 
   /// Current state of one peer (takes the table lock; obs/test hook).
   PeerState state(int peer) const;
@@ -161,7 +163,6 @@ class FailureDetector {
   std::vector<Padded<Cell>> cells_;
   mutable RankedLock<Spinlock> lock_{debug::LockRank::kFtDetector, "ft.detector"};
   std::vector<Cold> cold_ FAIRMPI_GUARDED_BY(lock_);
-  std::atomic<std::uint64_t> last_poll_ns_{0};
   std::atomic<int> suspect_hint_{-1};
   std::atomic<std::uint64_t> suspects_{0};
   std::atomic<std::uint64_t> deaths_{0};

@@ -43,6 +43,7 @@
 #include "fairmpi/overload/overload.hpp"
 #include "fairmpi/p2p/rendezvous.hpp"
 #include "fairmpi/p2p/request.hpp"
+#include "fairmpi/p2p/settle.hpp"
 #include "fairmpi/spc/spc.hpp"
 #include "fairmpi/trace/trace.hpp"
 
@@ -201,17 +202,16 @@ class MatchEngine : public p2p::CancelScope {
     tracer_ = tracer;
   }
 
-  /// Progress-driven deadline sweep: settle every posted receive whose
-  /// deadline passed as kDeadlineExceeded and unlink it. Gated by an
-  /// atomic min-deadline, so a stream with no deadlines costs one relaxed
-  /// load per call. Returns the number of receives expired.
-  std::size_t expire_deadlines(std::uint64_t now_ns);
+  /// Deadline sweep, run by the owning rank's timed-work runner: unlink
+  /// every posted receive whose deadline passed and settle it
+  /// kDeadlineExceeded. Returns the earliest deadline still posted
+  /// (kNever when none).
+  std::uint64_t expire_deadlines(std::uint64_t now_ns);
 
-  /// The expire sweep's gate value (~0 = no posted deadline), for the
-  /// rank-level sweep scheduler.
-  std::uint64_t next_deadline_relaxed() const noexcept {
-    return next_deadline_.load(std::memory_order_relaxed);
-  }
+  /// Install the owning rank's due time (done once before any traffic):
+  /// post() lowers it to a receive's deadline before linking the receive,
+  /// under the match lock the deadline sweep also takes.
+  void set_deadline_due(std::atomic<std::uint64_t>* due) noexcept { due_ = due; }
 
   /// p2p::CancelScope: cancel a posted receive. Takes the match lock,
   /// scans the posted queue the request would sit on, and only settles
@@ -322,6 +322,20 @@ class MatchEngine : public p2p::CancelScope {
   void deliver(spc::CounterSet::Cursor& ctr, p2p::Request* req,
                const fabric::Packet& pkt) FAIRMPI_REQUIRES(lock_);
 
+  /// Settle `req` typed `code`, counted and traced per p2p::settle_account
+  /// when this call won the settle. Lock held.
+  bool settle(spc::CounterSet::Cursor& ctr, p2p::Request* req, common::ErrorCode code)
+      FAIRMPI_REQUIRES(lock_);
+  /// The one unlink-and-settle walk: every receive on `list` that `pick`
+  /// selects is unlinked and settled `code`. Returns the settles won.
+  template <class Pick>
+  std::size_t settle_list(spc::CounterSet::Cursor& ctr, PostedList& list,
+                          common::ErrorCode code, Pick pick) FAIRMPI_REQUIRES(lock_);
+  /// settle_list over every posted list (per-peer, then ANY_SOURCE).
+  template <class Pick>
+  std::size_t settle_posted(spc::CounterSet::Cursor& ctr, common::ErrorCode code,
+                            Pick pick) FAIRMPI_REQUIRES(lock_);
+
   PeerState& peer(int rank) FAIRMPI_REQUIRES(lock_) {
     return peers_[static_cast<std::size_t>(rank)];
   }
@@ -331,6 +345,7 @@ class MatchEngine : public p2p::CancelScope {
   spc::CounterSet& spc_;
   p2p::RendezvousHook* rndv_hook_ = nullptr;
   overload::Governor* gov_ = nullptr;  ///< admission caps (null = uncapped)
+  std::atomic<std::uint64_t>* due_ = nullptr;  ///< owning rank's due time
   trace::Tracer* tracer_ = nullptr;    ///< overload event recording (optional)
 
   /// Acquired under the CRI instance lock on the progress path (rank
@@ -349,9 +364,6 @@ class MatchEngine : public p2p::CancelScope {
   bool revoked_ FAIRMPI_GUARDED_BY(lock_) = false;  ///< ft: comm revoked (terminal)
   /// Lock-free mirror of unexpected_total_ (governor pressure sampling).
   std::atomic<std::size_t> unexpected_mirror_{0};
-  /// Earliest posted-receive deadline (~0 = none): the expire sweep's
-  /// one-relaxed-load gate, maintained on post and recomputed on sweep.
-  std::atomic<std::uint64_t> next_deadline_{~std::uint64_t{0}};
 };
 
 }  // namespace fairmpi::match

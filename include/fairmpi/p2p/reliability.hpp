@@ -80,7 +80,11 @@ inline PacketKey key_of_ack(const fabric::WireHeader& ack) noexcept {
 
 class ReliabilityTracker {
  public:
-  ReliabilityTracker(std::uint64_t rto_ns, std::uint64_t rto_max_ns, int max_retries);
+  /// `due` (may be null when standalone) is the universe-wide retransmit
+  /// due time: every arm — track, confirm_retransmit — lowers it under the
+  /// table lock, the lock sweep() reads the entries under (timing.hpp).
+  ReliabilityTracker(std::uint64_t rto_ns, std::uint64_t rto_max_ns, int max_retries,
+                     std::atomic<std::uint64_t>* due = nullptr);
   ReliabilityTracker(const ReliabilityTracker&) = delete;
   ReliabilityTracker& operator=(const ReliabilityTracker&) = delete;
 
@@ -88,21 +92,14 @@ class ReliabilityTracker {
   /// MUST happen before the injection so an immediate ack finds the entry.
   void track(int dst, const fabric::Packet& pkt, std::uint64_t now_ns);
 
-  /// Retire the entry an ack names. False when unknown (already acked —
-  /// the ack of a duplicate).
+  /// Retire the entry an ack — or an overload NACK (DESIGN.md §5h) —
+  /// names. False when unknown (already acked — the ack of a duplicate, or
+  /// a re-NACK of an already-failed shed).
   bool ack(const PacketKey& key);
 
   /// Remove a tracked entry whose injection ultimately failed (EAGAIN
   /// budget exhausted before the packet ever hit the wire).
   void untrack(const PacketKey& key);
-
-  /// The receiver refused the packet at admission (Opcode::kNack,
-  /// DESIGN.md §5h): retire the entry like an ack, but report it so the
-  /// caller fails the op typed kReceiverOverloaded. False when the entry
-  /// is unknown (a re-NACK of an already-failed shed, or an ack raced in).
-  /// `out` (may be null) receives the failure record.
-  struct Failure;
-  bool nack(const PacketKey& key, Failure* out);
 
   struct Resend {
     int dst = 0;
@@ -124,9 +121,10 @@ class ReliabilityTracker {
   /// A retransmit that dies on a full ring costs nothing — under
   /// backpressure storms the budget must measure genuine losses, not the
   /// sender's own congestion, or entries exhaust and messages vanish.
-  /// Caller injects with no tracker lock held.
-  void sweep(std::uint64_t now_ns, std::vector<Resend>& resends,
-             std::vector<Failure>& failures);
+  /// Caller injects with no tracker lock held. Returns the earliest
+  /// deadline still tracked (kNever when empty).
+  std::uint64_t sweep(std::uint64_t now_ns, std::vector<Resend>& resends,
+                      std::vector<Failure>& failures);
 
   /// Record that a swept clone was injected: charges one retry and doubles
   /// the rto (bounded by rto_max). No-op when the entry was acked between
@@ -143,12 +141,6 @@ class ReliabilityTracker {
 
   /// True once fail_peer(peer) has run (fail-fast gate for new tracks).
   bool peer_failed(int peer) const noexcept;
-
-  /// Earliest deadline across tracked entries (relaxed; ~0 when empty).
-  /// Cheap progress-path gate: no lock, no sweep until this passes.
-  std::uint64_t next_deadline() const noexcept {
-    return next_deadline_.load(std::memory_order_relaxed);
-  }
 
   /// Tracked-but-unacked entry count (relaxed). The send window gate: a
   /// sender blocks (progressing) while this is at Config::reliability_window
@@ -169,6 +161,7 @@ class ReliabilityTracker {
   const std::uint64_t rto_ns_;
   const std::uint64_t rto_max_ns_;
   const int max_retries_;
+  std::atomic<std::uint64_t>* const due_;
 
   mutable RankedLock<Spinlock> lock_{debug::LockRank::kReliability,
                                      "p2p.reliability"};
@@ -177,7 +170,6 @@ class ReliabilityTracker {
   /// Peers confirmed dead (ft). Grown on fail_peer only; sweeps and tracks
   /// consult it so no entry to a dead peer ever retransmits.
   std::vector<bool> failed_peers_ FAIRMPI_GUARDED_BY(lock_);
-  std::atomic<std::uint64_t> next_deadline_{~std::uint64_t{0}};
   std::atomic<std::size_t> in_flight_{0};
 };
 

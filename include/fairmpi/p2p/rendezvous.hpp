@@ -24,6 +24,12 @@
 // deadlock two progress threads acquiring each other's instances. All
 // protocol sends are therefore *deferred* to a control queue drained by
 // Rank::progress() outside any engine lock.
+//
+// Settling a registered transfer early (peer death, deadline, cancel,
+// NACKed RTS — Rank::claim_rendezvous) follows one rule: a send state is
+// *extracted* only when no RndvAck can arrive (the peer is dead, or the
+// RTS was NACKed); every other early settle *tombstones* the state
+// (`failed`), because a late ack or fragment must still find it.
 #pragma once
 
 #include <atomic>
@@ -79,12 +85,13 @@ struct RndvRecvState {
   Status status{};                          ///< published when remaining hits 0
   std::uint64_t born_ns = 0;   ///< registration time (watchdog stall scan)
   bool stall_flagged = false;  ///< watchdog escalated once (rndv lock held)
-  /// ft: source confirmed dead mid-transfer. Set under the rendezvous
+  /// Settled early (peer death, deadline, cancel). Set under the rendezvous
   /// registry lock; handle_rndv_data checks it there (next to the fragment
   /// dedup) and discards, so no *new* deliverer touches the buffer after
-  /// the request was failed. The state stays registered (never erased by
-  /// the purge) — erasing could free it under a deliverer that claimed its
-  /// pointer before the death was confirmed.
+  /// the request was failed. The settle never erases the state — that
+  /// could free it under a deliverer that claimed its pointer earlier;
+  /// the discarding drain still counts each fragment down and erases the
+  /// tombstone with the last one.
   bool failed = false;
 
   // Fragment-seen bitmap, allocated only in reliable mode: a duplicated or

@@ -1,3 +1,4 @@
+#include <algorithm>
 #include <vector>
 
 #include "fairmpi/common/error.hpp"
@@ -38,13 +39,12 @@ Rank::Rank(Universe& uni, int id)
   const Config& cfg = uni.config();
   if (cfg.trace_enabled) tracer_.enable(true);
   if (cfg.reliable) {
-    tracker_ = std::make_unique<p2p::ReliabilityTracker>(cfg.rto_ns, cfg.rto_max_ns,
-                                                         cfg.max_retries);
+    tracker_ = std::make_unique<p2p::ReliabilityTracker>(
+        cfg.rto_ns, cfg.rto_max_ns, cfg.max_retries, &uni.retransmit_due_);
   }
-  if (cfg.watchdog_interval_ns != ~std::uint64_t{0}) {
+  if (cfg.watchdog_interval_ns != kNever) {
     watchdog_ = std::make_unique<progress::Watchdog>(
-        pool_, spc_, tracer_, cfg.watchdog_interval_ns, cfg.watchdog_stall_sweeps,
-        cfg.rndv_stall_ns);
+        pool_, spc_, tracer_, cfg.watchdog_stall_sweeps, cfg.rndv_stall_ns);
     watchdog_->set_stall_probe(this);
     watchdog_->set_error_sink(err_sink_, err_user_, id_);
   }
@@ -64,6 +64,8 @@ Rank::Rank(Universe& uni, int id)
     ft_newly_dead_.reserve(static_cast<std::size_t>(cfg.num_ranks));
     if (watchdog_ != nullptr) watchdog_->set_suspect_hint(ft_->suspect_hint());
   }
+  // Both cadences start due: the first progress call runs the first sweep.
+  if (watchdog_ != nullptr || ft_ != nullptr) due_ns_.store(0, std::memory_order_relaxed);
 }
 
 void Rank::set_error_sink(common::ErrorSink sink, void* user) noexcept {
@@ -91,6 +93,7 @@ void Rank::install_comm(CommId id, std::vector<int> members) {
                                    uni_->config().reliable, std::move(members));
   state->match().set_rendezvous_hook(this);
   state->match().set_overload(&governor_, &tracer_);
+  state->match().set_deadline_due(&due_ns_);
   comms_[id].store(state, std::memory_order_release);
 }
 
@@ -107,7 +110,7 @@ void Rank::isend(CommId comm, int dst, int tag, const void* buf, std::size_t n,
   p2p::CommState& cs = comm_state(comm);
   if (cs.revoked()) {
     req.init_send();
-    if (req.fail(common::ErrorCode::kCommRevoked)) spc_.add(Counter::kFtRevokedOps);
+    settle(&req, common::ErrorCode::kCommRevoked, dst);
     report_error(common::Error{common::ErrorCode::kCommRevoked, id_, dst, comm});
     return;
   }
@@ -115,7 +118,7 @@ void Rank::isend(CommId comm, int dst, int tag, const void* buf, std::size_t n,
     // Confirmed-dead destination: fail fast — uniformly for eager and
     // rendezvous — instead of feeding a permanently-down link.
     req.init_send();
-    if (req.fail(common::ErrorCode::kPeerFailed)) spc_.add(Counter::kFtPeerFailedOps);
+    settle(&req, common::ErrorCode::kPeerFailed, dst);
     report_error(common::Error{common::ErrorCode::kPeerFailed, id_, dst, 0});
     return;
   }
@@ -160,11 +163,7 @@ void Rank::irecv(CommId comm, int src, int tag, void* buf, std::size_t capacity,
   req.init_recv(buf, capacity, src, tag, deadline_ns);
   tracer_.record(trace::Event::kRecvPost, static_cast<std::uint32_t>(src + 1),
                  static_cast<std::uint32_t>(tag));
-  // Arm the rank-level sweep gate before the request becomes visible to the
-  // engine: overload_poll must not be able to observe a posted deadline the
-  // gate does not yet cover.
-  if (deadline_ns != 0) arm_deadline(deadline_ns);
-  comm_state(comm).match().post(&req);
+  comm_state(comm).match().post(&req);  // arms the rank's due time
 }
 
 void Rank::send(CommId comm, int dst, int tag, const void* buf, std::size_t n) {
@@ -244,21 +243,16 @@ std::size_t Rank::progress() {
   // Deferred rendezvous protocol work first (runs with no engine lock
   // held — see p2p/rendezvous.hpp), then the progress engine proper.
   drain_control();
-  if (tracker_ != nullptr || watchdog_ != nullptr || ft_ != nullptr) {
+  // Timed work (DESIGN.md §5): two relaxed loads, and one clock read only
+  // when something is armed. The universe-wide retransmit due time is read
+  // by every rank, so a rank that stopped progressing is still served.
+  const std::uint64_t due = std::min(due_ns_.load(std::memory_order_relaxed),
+                                     uni_->retransmit_due_.load(std::memory_order_relaxed));
+  if (due != kNever) {
     const std::uint64_t now = now_ns();
-    // Sweep every rank's tracker, not just ours: retransmission models the
-    // NIC's autonomous recovery, so it must run even when the packet's
-    // owner has stopped calling progress() (see Universe::sweep_reliability).
-    if (tracker_ != nullptr) uni_->sweep_reliability(now);
-    if (watchdog_ != nullptr) watchdog_->poll(now);
-    if (ft_ != nullptr) ft_poll(now);
+    if (now >= due) run_timed_work(now);
   }
-  // §5h sweeps are pay-for-what-you-use: a run with no caps and no armed
-  // deadlines takes this branch on two relaxed loads and skips the call.
-  if (governor_.enabled() ||
-      earliest_deadline_.load(std::memory_order_relaxed) != ~std::uint64_t{0}) {
-    overload_poll(now_ns());
-  }
+  if (governor_.enabled()) sample_governor();
   // kQueue backpressure (RX trickle): while any peer is latched paused the
   // governor admits only 1-in-kRxTrickle receive rounds, throttling the
   // flood without starving acks/heartbeats entirely (ft liveness).
@@ -334,12 +328,11 @@ void Rank::flush_acks() {
   }
 }
 
-void Rank::reliability_sweep(std::uint64_t now) {
-  if (sweeping_.exchange(true, std::memory_order_acquire)) return;
+std::uint64_t Rank::reliability_sweep(std::uint64_t now) {
   // lint: allow(hotpath-alloc) only reached when packets expired (lossy run)
   std::vector<p2p::ReliabilityTracker::Resend> resends;
   std::vector<p2p::ReliabilityTracker::Failure> failures;
-  tracker_->sweep(now, resends, failures);
+  const std::uint64_t next = tracker_->sweep(now, resends, failures);
   for (auto& r : resends) {
     const p2p::PacketKey key = p2p::key_of(r.dst, r.pkt.hdr);
     // Single attempt: if the ring is full the tracker still holds the
@@ -361,26 +354,132 @@ void Rank::reliability_sweep(std::uint64_t now) {
                                                       : Counter::kReliabilityErrors);
     report_error(common::Error{f.code, id_, static_cast<int>(f.key.peer), f.key.seq});
   }
-  sweeping_.store(false, std::memory_order_release);
+  return next;
+}
+
+// --- typed settlement (p2p/settle.hpp) ---
+
+void Rank::account(common::ErrorCode code, int peer, std::uint64_t detail) noexcept {
+  const p2p::SettleAccount acct = p2p::settle_account(code);
+  if (acct.counter != Counter::kCount) spc_.add(acct.counter);
+  if (acct.event != trace::Event::kNone) {
+    tracer_.record(acct.event, static_cast<std::uint32_t>(peer + 1),
+                   static_cast<std::uint32_t>(detail));
+  }
+  if (acct.report) report_error(common::Error{code, id_, peer, detail});
+}
+
+bool Rank::settle(p2p::Request* req, common::ErrorCode code, int peer,
+                  std::uint64_t detail) noexcept {
+  if (!req->fail(code)) return false;
+  account(code, peer, detail);
+  return true;
+}
+
+template <class PickSend, class PickRecv>
+std::vector<Rank::RndvVictim> Rank::claim_rendezvous(bool extract_sends, PickSend pick_send,
+                                                     PickRecv pick_recv) {
+  // lint: allow(hotpath-alloc) settle paths are cold: death, deadline, cancel, NACK
+  std::vector<RndvVictim> victims;
+  LockGuard guard(rndv_lock_);
+  for (auto it = rndv_sends_.begin(); it != rndv_sends_.end();) {
+    p2p::RndvSendState& st = *it->second;
+    if ((st.failed && !extract_sends) || !pick_send(st)) {
+      ++it;
+      continue;
+    }
+    if (!st.failed) victims.push_back(RndvVictim{st.request, st.dst});
+    if (extract_sends) {
+      // Whoever extracts owns the state, exactly like the kSendData drain.
+      it = rndv_sends_.erase(it);
+      continue;
+    }
+    st.failed = true;
+    ++it;
+  }
+  for (auto& [cookie, st] : rndv_recvs_) {
+    // Receives are always tombstoned, never erased here: a deliverer may
+    // hold the state pointer from before the claim. handle_rndv_data checks
+    // `failed` under this lock and retires the tombstone itself.
+    if (st->failed || !pick_recv(*st)) continue;
+    st->failed = true;
+    victims.push_back(RndvVictim{st->request, st->status.source});
+  }
+  return victims;
+}
+
+std::size_t Rank::rendezvous_pending() const {
+  LockGuard guard(rndv_lock_);
+  return rndv_sends_.size() + rndv_recvs_.size();
+}
+
+// --- timed work (DESIGN.md §5 "Timed work") ---
+
+void Rank::run_timed_work(std::uint64_t now) {
+  // Every rank serves the universe-wide retransmit due time: retransmission
+  // models the NIC's autonomous recovery, so it must run even when the
+  // packet's owner has stopped calling progress().
+  if (tracker_ != nullptr) uni_->sweep_reliability(now);
+  if (now < due_ns_.load(std::memory_order_relaxed) ||
+      runner_.exchange(true, std::memory_order_acquire)) {
+    return;
+  }
+  if (claim_due(due_ns_, now)) {
+    std::uint64_t next = kNever;
+    if (watchdog_ != nullptr) {
+      if (now >= watchdog_due_) {
+        watchdog_->poll(now);
+        const std::uint64_t interval = uni_->config().watchdog_interval_ns;
+        watchdog_due_ = interval > kNever - now ? kNever : now + interval;
+      }
+      next = watchdog_due_;
+    }
+    if (ft_ != nullptr) {
+      if (now >= ft_due_) ft_due_ = ft_poll(now);
+      next = std::min(next, ft_due_);
+    }
+    next = std::min(next, expire_deadlines(now));
+    lower_due(due_ns_, next);
+  }
+  runner_.store(false, std::memory_order_release);
+}
+
+std::uint64_t Rank::expire_deadlines(std::uint64_t now) {
+  std::uint64_t next = kNever;
+  for (auto& slot : comms_) {
+    p2p::CommState* cs = slot.load(std::memory_order_acquire);
+    if (cs != nullptr) next = std::min(next, cs->match().expire_deadlines(now));
+  }
+  // Tombstoned, not extracted: the peer's ack or data may still arrive,
+  // and the drains must find the state to discard it (rendezvous.hpp).
+  const auto expired = [&](const p2p::Request* req) {
+    const std::uint64_t dl = req->deadline();
+    if (dl > now) next = std::min(next, dl);
+    return dl != 0 && dl <= now;
+  };
+  for (const RndvVictim& v : claim_rendezvous(
+           /*extract_sends=*/false,
+           [&](const p2p::RndvSendState& st) { return expired(st.request); },
+           [&](const p2p::RndvRecvState& st) { return expired(st.request); })) {
+    settle(v.req, common::ErrorCode::kDeadlineExceeded, v.peer);
+  }
+  return next;
 }
 
 // --- ft layer (DESIGN.md §5g) ---
 
-void Rank::ft_poll(std::uint64_t now) {
-  // One sweeper at a time: the scratch vectors below are single-writer by
-  // this guard, so the steady-state poll allocates nothing.
-  if (ft_polling_.exchange(true, std::memory_order_acquire)) return;
+std::uint64_t Rank::ft_poll(std::uint64_t now) {
+  // Runner-owned scratch: the steady-state poll allocates nothing.
   ft_probes_.clear();
   ft_newly_dead_.clear();
-  if (ft_->poll(now, ft_probes_, ft_newly_dead_)) {
-    // Classification done under the detector lock; everything below runs
-    // with NO detector lock held (heartbeat injection takes CRI locks,
-    // propagation takes match/reliability/rndv locks — all ranked away
-    // from kFtDetector in both directions; see lockcheck.hpp).
-    for (const int dst : ft_probes_) send_heartbeat(dst);
-    for (const int peer : ft_newly_dead_) on_peer_dead(peer);
-  }
-  ft_polling_.store(false, std::memory_order_release);
+  const std::uint64_t next = ft_->poll(now, ft_probes_, ft_newly_dead_);
+  // Classification done under the detector lock; everything below runs
+  // with NO detector lock held (heartbeat injection takes CRI locks,
+  // propagation takes match/reliability/rndv locks — all ranked away
+  // from kFtDetector in both directions; see lockcheck.hpp).
+  for (const int dst : ft_probes_) send_heartbeat(dst);
+  for (const int peer : ft_newly_dead_) on_peer_dead(peer);
+  return next;
 }
 
 void Rank::send_heartbeat(int dst) {
@@ -416,160 +515,43 @@ void Rank::on_peer_dead(int peer) {
       (void)cs->match().fail_source(peer);
     }
   }
-  // 3. In-flight rendezvous transfers to/from the peer fail.
-  fail_rendezvous_peer(peer);
+  // 3. In-flight rendezvous transfers to/from the peer fail. Sends are
+  //    extracted: a dead peer sends no RndvAck.
+  for (const RndvVictim& v : claim_rendezvous(
+           /*extract_sends=*/true,
+           [peer](const p2p::RndvSendState& st) { return st.dst == peer; },
+           [peer](const p2p::RndvRecvState& st) { return st.status.source == peer; })) {
+    settle(v.req, common::ErrorCode::kPeerFailed, v.peer);
+  }
   // 4. One summary error so a sink-only consumer hears about the death
   //    even with zero outstanding operations.
   report_error(common::Error{common::ErrorCode::kPeerFailed, id_, peer, 0});
 }
 
-void Rank::fail_rendezvous_peer(int peer) {
-  // lint: allow(hotpath-alloc) peer death is a cold, once-per-rank event
-  std::vector<p2p::Request*> victims;
-  // lint: allow(hotpath-alloc) peer death is a cold, once-per-rank event
-  std::vector<std::unique_ptr<p2p::RndvSendState>> dead_sends;
-  {
-    LockGuard guard(rndv_lock_);
-    for (auto it = rndv_sends_.begin(); it != rndv_sends_.end();) {
-      if (it->second->dst == peer) {
-        // Claim by extraction, exactly like the kSendData drain — whoever
-        // extracts owns the state, so no deliverer can race us here.
-        victims.push_back(it->second->request);
-        dead_sends.push_back(std::move(it->second));
-        it = rndv_sends_.erase(it);
-      } else {
-        ++it;
-      }
-    }
-    for (auto& [cookie, st] : rndv_recvs_) {
-      if (st->status.source == peer && !st->failed) {
-        // Receives are tombstoned, NOT erased: a progress thread may hold
-        // the state pointer from before the death was confirmed (see
-        // rendezvous.hpp). handle_rndv_data checks `failed` under this
-        // lock, so no new fragment touches the buffer from here on.
-        st->failed = true;
-        victims.push_back(st->request);
-      }
-    }
-  }
-  for (p2p::Request* req : victims) {
-    if (req->fail(common::ErrorCode::kPeerFailed)) {
-      spc_.add(Counter::kFtPeerFailedOps);
-    }
-  }
-}
-
-// --- overload control & deadlines (DESIGN.md §5h) ---
+// --- overload control (DESIGN.md §5h) ---
 
 void Rank::handle_nack(const fabric::WireHeader& hdr) {
   const p2p::PacketKey key = p2p::key_of_ack(hdr);
-  p2p::ReliabilityTracker::Failure f;
-  if (!tracker_->nack(key, &f)) return;  // duplicate NACK, or an ack raced in
-  report_error(common::Error{common::ErrorCode::kReceiverOverloaded, id_,
-                             static_cast<int>(key.peer), key.seq});
+  if (!tracker_->ack(key)) return;  // duplicate NACK, or an ack raced in
+  const int peer = static_cast<int>(key.peer);
+  account(common::ErrorCode::kReceiverOverloaded, peer, key.seq);
   if (key.opcode != static_cast<std::uint16_t>(fabric::Opcode::kRndvRts)) return;
   // The receiver shed our RTS at admission: no RndvAck will ever arrive,
-  // so the NACK is this transfer's only possible terminal event — claim
-  // the send state by extraction (same ownership rule as the kSendData
-  // drain) and fail the request typed.
-  p2p::Request* victim = nullptr;
-  std::unique_ptr<p2p::RndvSendState> dead;
-  {
-    LockGuard guard(rndv_lock_);
-    for (auto it = rndv_sends_.begin(); it != rndv_sends_.end(); ++it) {
-      if (it->second->dst == static_cast<int>(key.peer) &&
-          it->second->comm == key.comm && it->second->rts_seq == key.seq &&
-          !it->second->failed) {
-        victim = it->second->request;
-        dead = std::move(it->second);
-        rndv_sends_.erase(it);
-        break;
-      }
-    }
-  }
-  if (victim != nullptr) {
-    (void)victim->fail(common::ErrorCode::kReceiverOverloaded);
+  // so the NACK is this transfer's only possible terminal event — extract
+  // the send state and fail the request typed (accounted just above).
+  for (const RndvVictim& v : claim_rendezvous(
+           /*extract_sends=*/true,
+           [&](const p2p::RndvSendState& st) {
+             return st.dst == peer && st.comm == key.comm && st.rts_seq == key.seq;
+           },
+           [](const p2p::RndvRecvState&) { return false; })) {
+    (void)v.req->fail(common::ErrorCode::kReceiverOverloaded);
   }
 }
 
-void Rank::arm_deadline(std::uint64_t deadline_ns) noexcept {
-  std::uint64_t cur = earliest_deadline_.load(std::memory_order_relaxed);
-  while (deadline_ns < cur &&
-         !earliest_deadline_.compare_exchange_weak(cur, deadline_ns,
-                                                   std::memory_order_relaxed)) {
-  }
-}
-
-void Rank::expire_rendezvous_deadlines(std::uint64_t now, std::uint64_t* next) {
-  struct Victim {
-    p2p::Request* req;
-    int peer;
-  };
-  // lint: allow(hotpath-alloc) only reached when a deadline is armed
-  std::vector<Victim> victims;
-  {
-    LockGuard guard(rndv_lock_);
-    for (auto& [cookie, st] : rndv_sends_) {
-      if (st->failed || st->request == nullptr) continue;
-      const std::uint64_t dl = st->request->deadline();
-      if (dl == 0) continue;
-      if (dl <= now) {
-        // Tombstone, not extraction: the receiver's ack may still arrive,
-        // and the kSendData drain must find the state to discard it
-        // instead of streaming from a buffer the owner already reclaimed.
-        st->failed = true;
-        victims.push_back(Victim{st->request, st->dst});
-      } else if (dl < *next) {
-        *next = dl;
-      }
-    }
-    for (auto& [cookie, st] : rndv_recvs_) {
-      if (st->failed || st->request == nullptr) continue;
-      const std::uint64_t dl = st->request->deadline();
-      if (dl == 0) continue;
-      if (dl <= now) {
-        st->failed = true;  // same tombstone rule as the ft purge
-        victims.push_back(Victim{st->request, st->status.source});
-      } else if (dl < *next) {
-        *next = dl;
-      }
-    }
-  }
-  for (const Victim& v : victims) {
-    if (v.req->fail(common::ErrorCode::kDeadlineExceeded)) {
-      spc_.add(Counter::kDeadlineExceededOps);
-      tracer_.record(trace::Event::kDeadline,
-                     static_cast<std::uint32_t>(v.peer + 1), 0);
-      report_error(common::Error{common::ErrorCode::kDeadlineExceeded, id_,
-                                 v.peer, 0});
-    }
-  }
-}
-
-void Rank::overload_poll(std::uint64_t now) {
-  // Deadline expiry sweep, gated on the rank-level CAS-min gate.
-  const std::uint64_t observed = earliest_deadline_.load(std::memory_order_relaxed);
-  if (observed != ~std::uint64_t{0} && now >= observed) {
-    std::uint64_t next = ~std::uint64_t{0};
-    for (auto& slot : comms_) {
-      p2p::CommState* cs = slot.load(std::memory_order_acquire);
-      if (cs == nullptr) continue;
-      cs->match().expire_deadlines(now);
-      const std::uint64_t d = cs->match().next_deadline_relaxed();
-      if (d < next) next = d;
-    }
-    expire_rendezvous_deadlines(now, &next);
-    // Raise the gate only past the value observed before the sweep: a
-    // concurrent arm_deadline that lowered it mid-sweep wins the CAS, the
-    // gate stays conservatively low, and the next poll re-sweeps — an arm
-    // is never lost, at worst one sweep runs early.
-    std::uint64_t expected = observed;
-    (void)earliest_deadline_.compare_exchange_strong(expected, next,
-                                                     std::memory_order_relaxed);
-  }
+void Rank::sample_governor() {
   // Degradation ladder, sampled 1-in-64 progress visits — resource sums
   // walk every communicator, too heavy for every visit.
-  if (!governor_.enabled()) return;
   if ((overload_visits_.fetch_add(1, std::memory_order_relaxed) & 63) != 0) return;
   std::uint64_t unexpected = 0;
   for (auto& slot : comms_) {
@@ -593,31 +575,13 @@ bool Rank::cancel_request(p2p::Request* req) {
   // Rendezvous cancel: tombstone whichever registry holds the request
   // (ack/data may still arrive; the drains discard against `failed`), then
   // settle outside the lock.
-  int peer = -1;
-  {
-    LockGuard guard(rndv_lock_);
-    for (auto& [cookie, st] : rndv_sends_) {
-      if (st->request == req && !st->failed) {
-        st->failed = true;
-        peer = st->dst;
-        break;
-      }
-    }
-    if (peer < 0) {
-      for (auto& [cookie, st] : rndv_recvs_) {
-        if (st->request == req && !st->failed) {
-          st->failed = true;
-          peer = st->status.source;
-          break;
-        }
-      }
-    }
-  }
-  if (peer < 0) return false;  // completed/failed concurrently, or not ours
-  if (!req->fail(common::ErrorCode::kCancelled)) return false;
-  spc_.add(Counter::kCancelledOps);
-  tracer_.record(trace::Event::kCancel, static_cast<std::uint32_t>(peer + 1), 0);
-  return true;
+  const std::vector<RndvVictim> victims = claim_rendezvous(
+      /*extract_sends=*/false,
+      [req](const p2p::RndvSendState& st) { return st.request == req; },
+      [req](const p2p::RndvRecvState& st) { return st.request == req; });
+  // Empty when completed/failed concurrently, or not ours.
+  return !victims.empty() &&
+         settle(victims.front().req, common::ErrorCode::kCancelled, victims.front().peer);
 }
 
 std::size_t Rank::scan_stalled(std::uint64_t now, std::uint64_t horizon) {
@@ -629,15 +593,17 @@ std::size_t Rank::scan_stalled(std::uint64_t now, std::uint64_t horizon) {
   // lint: allow(hotpath-alloc) watchdog escalation path, not the hot path
   std::vector<Stalled> flagged;
   {
+    // Settled (tombstoned) transfers are not stalls: their owner already
+    // heard the outcome.
     LockGuard guard(rndv_lock_);
     for (auto& [cookie, st] : rndv_sends_) {
-      if (!st->stall_flagged && st->born_ns != 0 && st->born_ns < horizon) {
+      if (!st->failed && !st->stall_flagged && st->born_ns != 0 && st->born_ns < horizon) {
         st->stall_flagged = true;
         flagged.push_back(Stalled{st->dst, cookie});
       }
     }
     for (auto& [cookie, st] : rndv_recvs_) {
-      if (!st->stall_flagged && st->born_ns != 0 && st->born_ns < horizon) {
+      if (!st->failed && !st->stall_flagged && st->born_ns != 0 && st->born_ns < horizon) {
         st->stall_flagged = true;
         flagged.push_back(Stalled{st->status.source, cookie});
       }

@@ -42,8 +42,9 @@ void Rank::rndv_isend(CommId comm, int dst, int tag, const void* buf, std::size_
     LockGuard guard(rndv_lock_);
     cookie = next_cookie_++;
     rndv_sends_.emplace(cookie, std::move(state));
+    // Armed under the lock the deadline sweep takes (timing.hpp).
+    if (deadline_ns != 0) lower_due(due_ns_, deadline_ns);
   }
-  if (deadline_ns != 0) arm_deadline(deadline_ns);
 
   // The RTS is a sequence-numbered envelope like any eager message — it is
   // what the receiver matches, preserving the non-overtaking guarantee for
@@ -90,13 +91,13 @@ void Rank::on_rts_matched(p2p::Request* req, const Packet& rts) {
     LockGuard guard(rndv_lock_);
     cookie = next_cookie_++;
     rndv_recvs_.emplace(cookie, std::move(state));
+    // Re-arm: a deadline sweep may have run between the match (which
+    // unlinked the receive from the engine) and this registration.
+    if (req->deadline() != 0) lower_due(due_ns_, req->deadline());
   }
   // Scope handoff: the request left the engine's posted lists when it
   // matched, so cancel/deadline now belong to the rendezvous registry.
   req->set_cancel_scope(this);
-  // Re-arm the rank gate: the engine sweep may have raised it past this
-  // request's deadline between the match and this registration.
-  if (req->deadline() != 0) arm_deadline(req->deadline());
   {
     LockGuard guard(control_lock_);
     control_.push_back(ControlMsg{ControlMsg::Kind::kSendAck,
@@ -133,10 +134,17 @@ std::size_t Rank::handle_rndv_data(const Packet& pkt) {
     }
     state = it->second.get();
     if (state->failed) {
-      // ft tombstone: the transfer's request already failed kPeerFailed;
-      // the user may have freed the buffer, so a straggling fragment (in
-      // an RX ring since before the death was confirmed) must not land.
+      // Tombstone: the request is already settled and the user may have
+      // freed the buffer, so a straggling fragment must not land. It still
+      // counts down (once, deduplicated): the last one retires the state.
+      // Safe to erase here — a deliverer that passed this check earlier
+      // keeps `remaining` above zero until it has subtracted.
       spc_.add(Counter::kDupDiscards);
+      const std::uint64_t bytes = pkt.hdr.payload_size;
+      if (state->mark_fragment(pkt.hdr.seq) &&
+          state->remaining.fetch_sub(bytes, std::memory_order_acq_rel) == bytes) {
+        rndv_recvs_.erase(it);
+      }
       return 0;
     }
     // Dedup under the registry lock: losers must not touch `state` after
@@ -268,9 +276,7 @@ void Rank::drain_control() {
         if (peer_failed(msg.peer)) {
           // Receiver died between its RndvAck and our drain: fail the send
           // instead of streaming the whole payload into a severed link.
-          if (state->request->fail(common::ErrorCode::kPeerFailed)) {
-            spc_.add(Counter::kFtPeerFailedOps);
-          }
+          settle(state->request, common::ErrorCode::kPeerFailed, msg.peer);
           break;
         }
         const std::size_t frag = uni_->config().rndv_frag_bytes;

@@ -1,5 +1,6 @@
 #include "fairmpi/core/universe.hpp"
 
+#include <algorithm>
 #include <cctype>
 #include <cstdlib>
 #include <string>
@@ -185,11 +186,7 @@ bool Universe::quiesce(std::uint64_t timeout_ns) {
           p2p::CommState* cs = slot.load(std::memory_order_acquire);
           if (cs != nullptr) unexpected += cs->match().unexpected_count();
         }
-        std::size_t rndv = 0;
-        {
-          LockGuard guard(rk.rndv_lock_);
-          rndv = rk.rndv_sends_.size() + rk.rndv_recvs_.size();
-        }
+        const std::size_t rndv = rk.rendezvous_pending();
         if (in_flight == 0 && unexpected == 0 && rndv == 0) continue;
         rk.spc_.add(spc::Counter::kQuiesceTimeouts);
         rk.report_error(common::Error{
@@ -212,19 +209,24 @@ CommId Universe::shrink(CommId id) {
 }
 
 void Universe::sweep_reliability(std::uint64_t now_ns) noexcept {
+  if (!claim_due(retransmit_due_, now_ns)) return;
   fabric::FaultInjector* injector = fabric_.injector();
+  std::uint64_t next = kNever;
   for (auto& rank : ranks_) {
     // A killed rank's NIC does not retransmit: its outbound packets are
     // eaten by the injector anyway, so sweeping its tracker would only
     // burn the survivors' progress cycles on a corpse's retry furnace.
     if (injector != nullptr && injector->rank_dead(rank->id())) continue;
-    p2p::ReliabilityTracker* tracker = rank->tracker_.get();
-    // lint: allow(relaxed-sync) next_deadline is a racy fast-path gate; the
-    // sweep itself re-checks every deadline under the tracker lock.
-    if (tracker != nullptr && now_ns >= tracker->next_deadline()) {
-      rank->reliability_sweep(now_ns);
+    // Swept under its owner's runner claim, so two threads never clone the
+    // same claimed entries twice; a busy tracker is retried next call.
+    if (rank->runner_.exchange(true, std::memory_order_acquire)) {
+      next = now_ns;
+      continue;
     }
+    next = std::min(next, rank->reliability_sweep(now_ns));
+    rank->runner_.store(false, std::memory_order_release);
   }
+  lower_due(retransmit_due_, next);
 }
 
 spc::Snapshot Universe::aggregate_counters() const {

@@ -379,9 +379,7 @@ bool MatchEngine::post(p2p::Request* req) {
     // poster that read CommState::revoked() as false just before revoke()
     // landed must still fail here, never enqueue (it would hang forever:
     // fail_all_posted already swept the queues).
-    if (req->fail(common::ErrorCode::kCommRevoked)) {
-      ctr.add(Counter::kFtRevokedOps);
-    }
+    settle(ctr, req, common::ErrorCode::kCommRevoked);
     return true;
   }
   std::uint64_t cycles = 0;
@@ -448,9 +446,7 @@ bool MatchEngine::post(p2p::Request* req) {
       // source and nothing more can arrive — enqueueing would hang the
       // receiver forever. ANY_SOURCE receives still enqueue: a live peer
       // may satisfy them.
-      if (req->fail(common::ErrorCode::kPeerFailed)) {
-        ctr.add(Counter::kFtPeerFailedOps);
-      }
+      settle(ctr, req, common::ErrorCode::kPeerFailed);
       matched = true;  // completed immediately, albeit with an error
     } else {
       req->post_stamp = post_stamp_++;
@@ -458,19 +454,14 @@ bool MatchEngine::post(p2p::Request* req) {
       // (cancel-vs-match settles under lock_, exactly once). Installed
       // before the request becomes matchable; the caller still holds it.
       req->set_cancel_scope(this);
+      // Arm the rank's due time before the receive is linked: the deadline
+      // sweep takes lock_ too, so it either sees the receive or runs after
+      // this arm (timing.hpp).
+      if (req->deadline() != 0 && due_ != nullptr) lower_due(*due_, req->deadline());
       if (src == p2p::kAnySource) {
         posted_any_.push_back(req);
       } else {
         peer(src).posted.push_back(req);
-      }
-      // Deadline gate: keep next_deadline_ a lower bound for every posted
-      // deadline so expire_deadlines costs one relaxed load when idle.
-      const std::uint64_t dl = req->deadline();
-      if (dl != 0) {
-        std::uint64_t cur = next_deadline_.load(std::memory_order_relaxed);
-        while (dl < cur && !next_deadline_.compare_exchange_weak(
-                               cur, dl, std::memory_order_relaxed)) {
-        }
       }
     }
   }
@@ -515,6 +506,41 @@ bool MatchEngine::probe(int src, int tag, p2p::Status* status) {
   return true;
 }
 
+bool MatchEngine::settle(spc::CounterSet::Cursor& ctr, p2p::Request* req,
+                         common::ErrorCode code) {
+  if (!req->fail(code)) return false;
+  const p2p::SettleAccount acct = p2p::settle_account(code);
+  if (acct.counter != Counter::kCount) ctr.add(acct.counter);
+  if (acct.event != trace::Event::kNone && tracer_ != nullptr) {
+    tracer_->record(acct.event, static_cast<std::uint32_t>(req->source_filter() + 1),
+                    static_cast<std::uint32_t>(req->tag_filter()));
+  }
+  return true;
+}
+
+template <class Pick>
+std::size_t MatchEngine::settle_list(spc::CounterSet::Cursor& ctr, PostedList& list,
+                                     common::ErrorCode code, Pick pick) {
+  std::size_t settled = 0;
+  for (p2p::Request* r = list.front(); r != nullptr;) {
+    p2p::Request* const nxt = PostedList::next(r);
+    if (pick(r)) {
+      list.erase(r);
+      if (settle(ctr, r, code)) ++settled;
+    }
+    r = nxt;
+  }
+  return settled;
+}
+
+template <class Pick>
+std::size_t MatchEngine::settle_posted(spc::CounterSet::Cursor& ctr, common::ErrorCode code,
+                                       Pick pick) {
+  std::size_t settled = 0;
+  for (auto& ps : peers_) settled += settle_list(ctr, ps.posted, code, pick);
+  return settled + settle_list(ctr, posted_any_, code, pick);
+}
+
 std::size_t MatchEngine::fail_source(int src) {
   FAIRMPI_CHECK_MSG(src >= 0 && src < static_cast<int>(peers_.size()),
                     "invalid source rank");
@@ -539,71 +565,28 @@ std::size_t MatchEngine::fail_source(int src) {
   reorder_total_ -= ps.spill.size();
   ps.spill.clear();
 
-  // Fail every source-specific posted receive; count on settle win only.
-  std::size_t failed = 0;
-  while (p2p::Request* r = ps.posted.pop_front()) {
-    if (r->fail(common::ErrorCode::kPeerFailed)) {
-      ctr.add(Counter::kFtPeerFailedOps);
-      ++failed;
-    }
-  }
-  return failed;
+  return settle_list(ctr, ps.posted, common::ErrorCode::kPeerFailed,
+                     [](const p2p::Request*) { return true; });
 }
 
 std::size_t MatchEngine::fail_all_posted() {
   LockGuard guard(lock_);
   auto ctr = spc_.cursor();
   revoked_ = true;
-  std::size_t failed = 0;
-  const auto drain = [&](PostedList& list) {
-    while (p2p::Request* r = list.pop_front()) {
-      if (r->fail(common::ErrorCode::kCommRevoked)) {
-        ctr.add(Counter::kFtRevokedOps);
-        ++failed;
-      }
-    }
-  };
-  for (auto& ps : peers_) drain(ps.posted);
-  drain(posted_any_);
-  return failed;
+  return settle_posted(ctr, common::ErrorCode::kCommRevoked,
+                       [](const p2p::Request*) { return true; });
 }
 
-std::size_t MatchEngine::expire_deadlines(std::uint64_t now_ns) {
-  // One relaxed load answers the common case: nothing posted has a
-  // deadline, or the earliest one is still in the future.
-  // lint: allow(relaxed-sync) sweep-cadence gate only; authoritative state is under lock_
-  if (next_deadline_.load(std::memory_order_relaxed) > now_ns) return 0;
-
+std::uint64_t MatchEngine::expire_deadlines(std::uint64_t now_ns) {
   LockGuard guard(lock_);
   auto ctr = spc_.cursor();
-  std::uint64_t next = ~std::uint64_t{0};
-  std::size_t expired = 0;
-  const auto sweep = [&](PostedList& list) {
-    p2p::Request* r = list.front();
-    while (r != nullptr) {
-      p2p::Request* nxt = PostedList::next(r);
-      const std::uint64_t dl = r->deadline();
-      if (dl != 0 && dl <= now_ns) {
-        list.erase(r);
-        if (r->fail(common::ErrorCode::kDeadlineExceeded)) {
-          ctr.add(Counter::kDeadlineExceededOps);
-          if (tracer_ != nullptr) {
-            tracer_->record(trace::Event::kDeadline,
-                            static_cast<std::uint32_t>(r->source_filter() + 1),
-                            static_cast<std::uint32_t>(r->tag_filter()));
-          }
-          ++expired;
-        }
-      } else if (dl != 0 && dl < next) {
-        next = dl;
-      }
-      r = nxt;
-    }
-  };
-  for (auto& ps : peers_) sweep(ps.posted);
-  sweep(posted_any_);
-  next_deadline_.store(next, std::memory_order_relaxed);
-  return expired;
+  std::uint64_t next = kNever;
+  settle_posted(ctr, common::ErrorCode::kDeadlineExceeded, [&](const p2p::Request* r) {
+    const std::uint64_t dl = r->deadline();
+    if (dl > now_ns && dl < next) next = dl;
+    return dl != 0 && dl <= now_ns;
+  });
+  return next;
 }
 
 bool MatchEngine::cancel_request(p2p::Request* req) {
@@ -617,21 +600,8 @@ bool MatchEngine::cancel_request(p2p::Request* req) {
   // that consumed it (under this same lock) already owns the completion,
   // and a cancel must never turn a delivered message into a lost one.
   PostedList& list = src == p2p::kAnySource ? posted_any_ : peer(src).posted;
-  for (p2p::Request* r = list.front(); r != nullptr; r = PostedList::next(r)) {
-    if (r != req) continue;
-    list.erase(req);
-    if (req->fail(common::ErrorCode::kCancelled)) {
-      ctr.add(Counter::kCancelledOps);
-      if (tracer_ != nullptr) {
-        tracer_->record(trace::Event::kCancel,
-                        static_cast<std::uint32_t>(src + 1),
-                        static_cast<std::uint32_t>(req->tag_filter()));
-      }
-      return true;
-    }
-    return false;
-  }
-  return false;
+  return settle_list(ctr, list, common::ErrorCode::kCancelled,
+                     [req](const p2p::Request* r) { return r == req; }) == 1;
 }
 
 std::size_t MatchEngine::unexpected_count() const noexcept {

@@ -288,6 +288,81 @@ TEST(Chaos, WatchdogFlagsStalledRendezvous) {
   EXPECT_TRUE(capture.saw(ErrorCode::kStalledRendezvous));
 }
 
+TEST(Chaos, SettledRendezvousIsNotAStall) {
+  // A cancelled rendezvous transfer is settled, not stalled: the watchdog
+  // must not escalate its tombstone, and a receive tombstone must retire
+  // once the peer's late fragments have drained into it.
+  ScopedChaosEnvClear env;
+  Config cfg;
+  cfg.num_ranks = 2;
+  cfg.watchdog_interval_ns = 0;
+  cfg.rndv_stall_ns = 20'000'000;
+  Universe uni(cfg);
+  ErrorCapture errors0, errors1;
+  uni.rank(0).set_error_sink(ErrorCapture::sink, &errors0);
+  uni.rank(1).set_error_sink(ErrorCapture::sink, &errors1);
+
+  std::vector<std::byte> out(64 * 1024), in(64 * 1024);
+  // Matched receive, cancelled after the match: one progress call on the
+  // receiver matches the RTS and registers the transfer.
+  Request rreq, sreq;
+  uni.rank(1).irecv(kWorldComm, 0, /*tag=*/1, in.data(), in.size(), rreq);
+  uni.rank(0).isend(kWorldComm, 1, /*tag=*/1, out.data(), out.size(), sreq);
+  uni.rank(1).progress();
+  ASSERT_EQ(uni.rank(1).rendezvous_pending(), 1u);
+  ASSERT_TRUE(rreq.cancel());
+  // Unmatched send, cancelled: rank 1 never posts for tag 2.
+  Request orphan;
+  uni.rank(0).isend(kWorldComm, 1, /*tag=*/2, out.data(), out.size(), orphan);
+  ASSERT_TRUE(orphan.cancel());
+
+  const std::uint64_t bound = now_ns() + 5'000'000'000ULL;
+  while (!sreq.done() && now_ns() < bound) {
+    uni.rank(0).progress();
+    uni.rank(1).progress();
+  }
+  ASSERT_TRUE(sreq.done());
+  const std::uint64_t until = now_ns() + 3 * cfg.rndv_stall_ns;
+  while (now_ns() < until) {
+    uni.rank(0).progress();
+    uni.rank(1).progress();
+  }
+  EXPECT_EQ(uni.rank(0).counters().get(Counter::kWatchdogStalls), 0u);
+  EXPECT_EQ(uni.rank(1).counters().get(Counter::kWatchdogStalls), 0u);
+  EXPECT_FALSE(errors0.saw(ErrorCode::kStalledRendezvous));
+  EXPECT_FALSE(errors1.saw(ErrorCode::kStalledRendezvous));
+  EXPECT_EQ(uni.rank(1).rendezvous_pending(), 0u);
+}
+
+TEST(Chaos, RetransmitWhileOwnerIdle) {
+  // Retransmission models the NIC's autonomous recovery: a sender that
+  // injects once and never progresses again still has its dropped packet
+  // re-sent — by the receiver's progress calls, which serve every rank's
+  // tracker through the universe-wide retransmit due time.
+  ScopedChaosEnvClear env;
+  Config cfg;
+  cfg.num_ranks = 2;
+  cfg.reliable = true;
+  cfg.faults.drop = 0.5;
+  cfg.faults.seed = 2;  // link 0->1: the first packet drops, the next passes
+  cfg.rto_ns = 200'000;
+  Universe uni(cfg);
+
+  const std::uint32_t payload = 0xfeedu;
+  std::uint32_t got = 0;
+  Request rreq, sreq;
+  uni.rank(1).irecv(kWorldComm, 0, /*tag=*/3, &got, sizeof got, rreq);
+  uni.rank(0).isend(kWorldComm, 1, /*tag=*/3, &payload, sizeof payload, sreq);
+  EXPECT_TRUE(sreq.done());  // eager: complete at injection; rank 0 goes idle
+  const std::uint64_t bound = now_ns() + 5'000'000'000ULL;
+  while (!rreq.done() && now_ns() < bound) uni.rank(1).progress();
+  ASSERT_TRUE(rreq.done());
+  EXPECT_FALSE(rreq.failed());
+  EXPECT_EQ(got, payload);
+  EXPECT_GE(uni.rank(0).counters().get(Counter::kRetransmits), 1u);
+  EXPECT_GE(uni.fabric().injector()->stats().dropped.load(), 1u);
+}
+
 TEST(Chaos, SendBudgetExhaustionIsTypedNotLivelock) {
   ScopedChaosEnvClear env;
   Config cfg;

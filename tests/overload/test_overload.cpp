@@ -511,6 +511,51 @@ TEST(Deadline, RendezvousRaceSettlesExactlyOnce) {
   EXPECT_GE(completed + expired, 50);
 }
 
+TEST(Deadline, NotHeldBackByLaterTimer) {
+  // One due time per rank: a deadline posted after the watchdog pushed the
+  // rank's due time 1 s out must pull it back in, or the expiry would wait
+  // for the next watchdog tick.
+  Config cfg;
+  cfg.watchdog_interval_ns = 1'000'000'000;
+  Universe uni(cfg);
+  uni.rank(1).progress();  // first sweep: next watchdog tick 1 s out
+  const std::uint64_t t0 = now_ns();
+  Request req;
+  char buf = 0;
+  uni.rank(1).irecv(kWorldComm, 0, 7, &buf, 1, req, t0 + 2'000'000);
+  ASSERT_TRUE(drive(uni, {1}, [&] { return req.done(); }));
+  EXPECT_EQ(req.error(), ErrorCode::kDeadlineExceeded);
+  EXPECT_LT(now_ns() - t0, 200'000'000u);
+}
+
+TEST(Deadline, RendezvousNotHeldBackByLaterTimer) {
+  // Same for the rendezvous registry: a matched receive whose data never
+  // comes (the sender does not progress), then an unmatched send.
+  Config cfg;
+  cfg.watchdog_interval_ns = 1'000'000'000;
+  cfg.eager_limit = 64;
+  Universe uni(cfg);
+  uni.rank(0).progress();
+  uni.rank(1).progress();
+  std::vector<char> out(4096, 'v'), in(4096);
+  std::uint64_t t0 = now_ns();
+  Request rreq, sreq;
+  uni.rank(1).irecv(kWorldComm, 0, 9, in.data(), in.size(), rreq, t0 + 2'000'000);
+  uni.rank(0).isend(kWorldComm, 1, 9, out.data(), out.size(), sreq);
+  uni.rank(1).progress();  // matches the RTS
+  ASSERT_EQ(uni.rank(1).rendezvous_pending(), 1u);
+  ASSERT_TRUE(drive(uni, {1}, [&] { return rreq.done(); }));
+  EXPECT_EQ(rreq.error(), ErrorCode::kDeadlineExceeded);
+  EXPECT_LT(now_ns() - t0, 200'000'000u);
+
+  t0 = now_ns();
+  Request orphan;
+  uni.rank(0).isend(kWorldComm, 1, 10, out.data(), out.size(), orphan, t0 + 2'000'000);
+  ASSERT_TRUE(drive(uni, {0}, [&] { return orphan.done() && sreq.done(); }));
+  EXPECT_EQ(orphan.error(), ErrorCode::kDeadlineExceeded);
+  EXPECT_LT(now_ns() - t0, 200'000'000u);
+}
+
 TEST(Deadline, CheckedOpsHonourConfigDeadline) {
   Config cfg;
   cfg.op_deadline_ns = 2'000'000;  // every checked op is bounded: 2 ms

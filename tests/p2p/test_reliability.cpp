@@ -5,9 +5,12 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <cstring>
 #include <string>
 #include <vector>
+
+#include "fairmpi/common/timing.hpp"
 
 namespace fairmpi::p2p {
 namespace {
@@ -54,12 +57,13 @@ TEST(PacketKey, DistinguishesPacketKinds) {
 }
 
 TEST(ReliabilityTracker, AckRetiresEntry) {
-  ReliabilityTracker t(/*rto_ns=*/100, /*rto_max_ns=*/1000, /*max_retries=*/3);
+  std::atomic<std::uint64_t> due{kNever};
+  ReliabilityTracker t(/*rto_ns=*/100, /*rto_max_ns=*/1000, /*max_retries=*/3, &due);
   const Packet pkt = make_packet(1);
   EXPECT_EQ(t.in_flight(), 0u);
   t.track(1, pkt, /*now_ns=*/0);
   EXPECT_EQ(t.in_flight(), 1u);
-  EXPECT_EQ(t.next_deadline(), 100u);
+  EXPECT_EQ(due.load(), 100u);
 
   EXPECT_TRUE(t.ack(key_of(1, pkt.hdr)));
   EXPECT_EQ(t.in_flight(), 0u);
@@ -112,9 +116,9 @@ TEST(ReliabilityTracker, SweepOnlyClaimsNoDoubleClone) {
   // The claim pushed the deadline one rto out (150 + 100): an immediate
   // second sweep must not clone the same entry again.
   resends.clear();
-  t.sweep(151, resends, failures);
+  const std::uint64_t next = t.sweep(151, resends, failures);
   EXPECT_TRUE(resends.empty());
-  EXPECT_EQ(t.next_deadline(), 250u);
+  EXPECT_EQ(next, 250u);
 }
 
 TEST(ReliabilityTracker, ConfirmChargesRetryAndBacksOff) {
