@@ -124,7 +124,7 @@ BENCHMARK(BM_PacketInlinePayload)->Arg(0)->Arg(32)->Arg(64)->Arg(256)->Arg(4096)
 
 void BM_EndpointInjection(benchmark::State& state) {
   Fabric fabric({1, 1});
-  Endpoint ep(fabric, fabric.nic(0).context(0), 1);
+  Endpoint ep(fabric, fabric.nic(0).context(0), 1, /*dst_ctx=*/0);
   auto& rx = fabric.nic(1).context(0).rx();
   for (auto _ : state) {
     Packet pkt;

@@ -286,8 +286,14 @@ class Rank final : public progress::PacketSink,
 
   // --- reliability layer (see p2p/reliability.hpp) ---
   /// One injection attempt with no tracking and no backpressure loop: used
-  /// for retransmits and acks, whose loss the protocol already absorbs.
+  /// for retransmits, acks and heartbeats, whose loss the protocol already
+  /// absorbs. Steered like data (steer_ctx).
   bool inject_raw(int dst, fabric::Packet&& pkt);
+  /// Destination context for an engine-built packet to `dst`: its
+  /// communicator's steering hint, so acks and rendezvous traffic land
+  /// where the peer's thread on that communicator progresses. Heartbeats
+  /// are not communicator traffic and keep the cold-start route.
+  int steer_ctx(int dst, const fabric::WireHeader& hdr);
   /// Defer an ack echoing `hdr`'s key through the ack queue.
   void enqueue_packet_ack(const fabric::WireHeader& hdr);
   /// Defer an overload NACK (Opcode::kNack) echoing a shed packet's key

@@ -1,10 +1,10 @@
 // Communication Resource Instances (§III-B/D, Algorithm 1).
 //
 // A CRI bundles the resources one thread needs to drive the network — a
-// network context (with its RX ring and CQ) plus one endpoint per peer —
-// behind a single per-instance lock. The pool replicates CRIs so threads
-// can inject and extract concurrently; the assignment policy decides which
-// instance a thread uses:
+// network context (with its RX queue and CQ) plus one endpoint per context
+// of every peer — behind a single per-instance lock. The pool replicates
+// CRIs so threads can inject and extract concurrently; the assignment
+// policy decides which instance a thread uses:
 //
 //   * kRoundRobin — an atomic circular counter hands out a (probably)
 //     different instance on every call: no sustained contention, good load
@@ -47,17 +47,27 @@ enum class Assignment {
 
 const char* assignment_name(Assignment a) noexcept;
 
-/// One instance: context + per-peer endpoints + the protection lock.
+/// One instance: context + per-(peer, peer context) endpoints + the
+/// protection lock.
 /// Cache-line aligned so sibling instances in a pool never share a line
 /// (placement, DESIGN.md §5f).
 class alignas(kCacheLine) CommResourceInstance {
  public:
   CommResourceInstance(int id, fabric::Fabric& fabric, fabric::NetworkContext& ctx)
       : id_(id), ctx_(&ctx) {
-    // lint: allow(hotpath-alloc) ctor: endpoint table sized once per instance
-    endpoints_.reserve(static_cast<std::size_t>(fabric.num_ranks()));
+    std::size_t total = 0;
     for (int peer = 0; peer < fabric.num_ranks(); ++peer) {
-      endpoints_.emplace_back(fabric, ctx, peer);
+      total += static_cast<std::size_t>(fabric.nic(peer).num_contexts());
+    }
+    // lint: allow(hotpath-alloc) ctor: endpoint tables sized once per instance
+    peers_.reserve(static_cast<std::size_t>(fabric.num_ranks()));
+    // lint: allow(hotpath-alloc) ctor: endpoint tables sized once per instance
+    endpoints_.reserve(total);
+    for (int peer = 0; peer < fabric.num_ranks(); ++peer) {
+      const int n = fabric.nic(peer).num_contexts();
+      peers_.push_back(PeerTable{endpoints_.size(), static_cast<unsigned>(n),
+                                 fabric.route(peer, ctx.index())});
+      for (int c = 0; c < n; ++c) endpoints_.emplace_back(fabric, ctx, peer, c);
     }
   }
 
@@ -80,10 +90,14 @@ class alignas(kCacheLine) CommResourceInstance {
   /// mpsc_ring.hpp rather than a capability the analysis can express.
   fabric::NetworkContext& context() noexcept { return *ctx_; }
 
-  /// Injection endpoint for `peer`. Injection mutates per-endpoint credit
-  /// and sequence state, so callers must hold the instance lock.
-  fabric::Endpoint& endpoint(int peer) FAIRMPI_REQUIRES(lock_) {
-    return endpoints_[static_cast<std::size_t>(peer)];
+  /// Injection endpoint toward context `peer_ctx` of `peer`; any value
+  /// outside the peer's contexts (fabric::kStaticRoute) takes the
+  /// cold-start route. Injection mutates the lane's producer state, so
+  /// callers must hold the instance lock.
+  fabric::Endpoint& endpoint(int peer, int peer_ctx) FAIRMPI_REQUIRES(lock_) {
+    const PeerTable& t = peers_[static_cast<std::size_t>(peer)];
+    const int c = static_cast<unsigned>(peer_ctx) < t.contexts ? peer_ctx : t.route;
+    return endpoints_[t.first + static_cast<std::size_t>(c)];
   }
 
   /// Per-instance utilization counters (observability; no-ops unless
@@ -91,15 +105,25 @@ class alignas(kCacheLine) CommResourceInstance {
   obs::InstanceCounters& stats() noexcept { return stats_; }
   const obs::InstanceCounters& stats() const noexcept { return stats_; }
 
-  /// Inject one eager packet toward `dst`: lock_timed(), try_send, release.
-  /// The caller must not hold the instance lock. Returns false on fabric
-  /// backpressure (destination RX ring full); the packet is then left
-  /// intact for the caller's retry loop.
-  bool inject(int dst, fabric::Packet& pkt, spc::CounterSet& counters);
+  /// Inject one packet toward context `dst_ctx` of `dst` (see endpoint()):
+  /// lock_timed(), try_send, release. The caller must not hold the
+  /// instance lock. Returns false on fabric backpressure (destination RX
+  /// lane full); the packet is then left intact for the caller's retry
+  /// loop.
+  bool inject(int dst, int dst_ctx, fabric::Packet& pkt, spc::CounterSet& counters);
 
  private:
+  /// One peer's run of endpoints_: its contexts in order, plus the
+  /// cold-start route's index into the run. Immutable after construction.
+  struct PeerTable {
+    std::size_t first;
+    unsigned contexts;
+    int route;
+  };
+
   const int id_;
   fabric::NetworkContext* ctx_;
+  std::vector<PeerTable> peers_;
   std::vector<fabric::Endpoint> endpoints_ FAIRMPI_GUARDED_BY(lock_);
   InstanceLock lock_{LockRank::kCriInstance, "cri.instance"};
   obs::InstanceCounters stats_;

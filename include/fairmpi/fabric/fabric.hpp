@@ -5,31 +5,39 @@
 // replicates — per-context RX queues and completion queues — and the same
 // arbitrary cross-context arrival order real networks exhibit.
 //
-// Topology model: every rank owns a NIC with `n` network contexts. Context
-// `i` of rank A reaches rank B through B's RX ring `i mod n_B` — the analog
-// of connecting one QP/endpoint per (context, peer) pair. A receiver
-// progressing context `j` therefore only sees traffic injected through
-// matching sender contexts; when senders spread over many contexts, messages
-// from one (comm, peer) stream arrive interleaved across rings, which is
-// precisely the out-of-sequence pressure §II-C describes.
+// Topology model: every rank owns a NIC with `n` network contexts, and a
+// sender context can reach ANY context of a peer — one endpoint per
+// (context, peer, peer context), the analog of a QP per endpoint pair. The
+// sender picks the destination context. Until it knows better it uses the
+// static cold-start route, context `i` -> the peer's context `i mod n_B`
+// (Fabric::route). Once the peer has sent on a (communicator, peer) stream,
+// the engine steers that stream into the context the peer sent from, which
+// is the one the peer's thread progresses (DESIGN.md "Stream steering").
+// A receiver progressing context `j` only sees traffic injected toward
+// `j`; when senders spread over many contexts, messages from one stream
+// arrive interleaved across rings, which is precisely the out-of-sequence
+// pressure §II-C describes.
 //
 // RX lane decomposition (DESIGN.md §5f): a context's RX queue is not one
 // shared MPSC ring but an array of SPSC *lanes*, one per (src_rank,
-// src_ctx) stream that routes here — the moral equivalent of one QP per
-// endpoint pair in Zambre et al.'s scalable-endpoints design. Every
+// src_ctx) source stream of the universe — the moral equivalent of one QP
+// per endpoint pair in Zambre et al.'s scalable-endpoints design. Every
 // production injection into lane (r, c) happens while holding source
 // instance (r, c)'s lock (Endpoint::try_send callers go through
 // CommResourceInstance::endpoint(), which is REQUIRES(lock_)), so each lane
-// has exactly one producer at a time and enqueue needs NO atomic RMW — the
-// ~10ns locked CAS the shared ring paid per packet is gone. The drain side
-// sweeps lanes round-robin under the destination CRI lock, preserving the
-// single-consumer discipline. Per-(src, ctx) FIFO is preserved (one stream
-// = one lane); cross-stream interleaving was already arbitrary.
+// has exactly one producer at a time and enqueue needs NO atomic RMW. Two
+// source contexts never share a lane: with steering both may target the
+// same destination context, and a shared lane would then have two
+// producers under different locks. The drain side sweeps lanes round-robin
+// under the destination CRI lock, preserving the single-consumer
+// discipline. Per-(src, ctx, dst ctx) FIFO is preserved; cross-stream
+// interleaving was already arbitrary.
 //
 // Capacity semantics: FabricParams::rx_ring_entries is the PER-LANE depth —
 // a per-source credit window, as real NICs bound in-flight traffic per QP —
 // so a slow stream backpressures its own sender without stealing credits
-// from other streams.
+// from other streams. A lane allocates that storage on its first push
+// (SpscRing), so the many lanes no stream ever uses cost no slot memory.
 #pragma once
 
 #include <atomic>
@@ -55,8 +63,8 @@ struct FabricParams {
   /// retries land with stale sequence numbers (measured: ~860k out-of-
   /// sequence arrivals and -30% incast message rate at 512 vs ~300 at
   /// 4096). The footprint now scales with lane count (lanes x entries x
-  /// sizeof(Packet)); memory-constrained runs shrink it via
-  /// FAIRMPI_RX_RING_ENTRIES.
+  /// sizeof(Packet)) of the lanes that carried traffic; memory-constrained
+  /// runs shrink it via FAIRMPI_RX_RING_ENTRIES.
   std::size_t rx_ring_entries = 4096;
   std::size_t cq_entries = 4096;       ///< per-context completion queue
 };
@@ -66,6 +74,10 @@ struct RxLayout {
   int num_ranks = 1;
   int max_src_contexts = 1;  ///< max contexts on any rank's NIC
 };
+
+/// Destination-context argument meaning "no steering hint yet": take the
+/// cold-start route (Fabric::route).
+inline constexpr int kStaticRoute = -1;
 
 /// A completion event on a context's CQ. Two-sided eager sends complete at
 /// injection (buffered semantics); the CQ carries completions for tracked
@@ -82,25 +94,22 @@ struct Completion {
 /// what serializes each lane (see file header).
 class RxQueue {
  public:
-  RxQueue(const RxLayout& layout, int num_local_contexts, std::size_t entries_per_lane)
-      : n_local_(num_local_contexts < 1 ? 1 : num_local_contexts),
-        k_stride_((layout.max_src_contexts + n_local_ - 1) / n_local_ < 1
-                      ? 1
-                      : (layout.max_src_contexts + n_local_ - 1) / n_local_) {
-    const int n = (layout.num_ranks < 1 ? 1 : layout.num_ranks) * k_stride_;
+  RxQueue(const RxLayout& layout, std::size_t entries_per_lane)
+      : src_contexts_(layout.max_src_contexts < 1 ? 1 : layout.max_src_contexts) {
+    const int n = (layout.num_ranks < 1 ? 1 : layout.num_ranks) * src_contexts_;
     lanes_.reserve(static_cast<std::size_t>(n));  // lint: allow(hotpath-alloc) ctor
     for (int i = 0; i < n; ++i) {
       lanes_.push_back(std::make_unique<SpscRing<Packet>>(entries_per_lane));
     }
   }
 
-  /// Lane carrying stream (src_rank, src_ctx). Out-of-range streams (tests
-  /// minting arbitrary headers) fold modulo the lane count — safe there
-  /// because such pushes are single-threaded by construction.
+  /// Lane carrying stream (src_rank, src_ctx): one per source stream.
+  /// Out-of-range streams (tests minting arbitrary headers) fold modulo the
+  /// lane count — safe there because such pushes are single-threaded by
+  /// construction.
   std::size_t lane_for(int src_rank, int src_ctx) const noexcept {
-    const int k = src_ctx < n_local_ ? 0 : (src_ctx / n_local_) % k_stride_;
-    const auto lane = static_cast<std::size_t>(src_rank) * static_cast<std::size_t>(k_stride_) +
-                      static_cast<std::size_t>(k);
+    const auto lane = static_cast<std::size_t>(src_rank) * static_cast<std::size_t>(src_contexts_) +
+                      static_cast<std::size_t>(src_ctx);
     return lane < lanes_.size() ? lane : lane % lanes_.size();
   }
 
@@ -112,7 +121,7 @@ class RxQueue {
 
   /// Stable pointer to a lane's ring, so an Endpoint can skip the
   /// vector + unique_ptr indirections on every send. Lanes are created in
-  /// the constructor and never reallocated.
+  /// the constructor and never reallocated (their slots come on first push).
   SpscRing<Packet>* lane_ring(std::size_t lane) noexcept {
     return lanes_[lane].get();
   }
@@ -176,8 +185,7 @@ class RxQueue {
   std::size_t lane_capacity() const noexcept { return lanes_[0]->capacity(); }
 
  private:
-  const int n_local_;
-  const int k_stride_;
+  const int src_contexts_;  ///< lanes per source rank: max contexts on any NIC
   std::vector<std::unique_ptr<SpscRing<Packet>>> lanes_;
   std::size_t cursor_ = 0;               ///< consumer-owned; CRI lock hands it off
   SpscRing<Packet>* hot_ = nullptr;      ///< consumer-owned last-hit lane
@@ -188,11 +196,10 @@ class RxQueue {
 /// CQ.
 class NetworkContext {
  public:
-  NetworkContext(int rank, int index, const RxLayout& layout, int num_local_contexts,
-                 const FabricParams& params)
+  NetworkContext(int rank, int index, const RxLayout& layout, const FabricParams& params)
       : rank_(rank),
         index_(index),
-        rx_(layout, num_local_contexts, params.rx_ring_entries),
+        rx_(layout, params.rx_ring_entries),
         cq_(params.cq_entries) {}
 
   int rank() const noexcept { return rank_; }
@@ -223,7 +230,7 @@ class Nic {
     contexts_.reserve(static_cast<std::size_t>(num_contexts));
     for (int i = 0; i < num_contexts; ++i) {
       contexts_.push_back(
-          std::make_unique<NetworkContext>(rank, i, layout, num_contexts, params));
+          std::make_unique<NetworkContext>(rank, i, layout, params));
     }
   }
 
@@ -258,15 +265,17 @@ class Fabric {
   int num_ranks() const noexcept { return static_cast<int>(nics_.size()); }
   Nic& nic(int rank) { return *nics_[static_cast<std::size_t>(rank)]; }
 
-  /// RX context on `dst_rank` that sender context `src_ctx` feeds. The
-  /// common case (symmetric context counts, so src_ctx < n) skips the
-  /// integer divide — ~20 cycles that showed up on the injection path.
+  /// Cold-start route: the RX context on `dst_rank` that sender context
+  /// `src_ctx` feeds until the engine has a steering hint for the stream
+  /// (DESIGN.md "Stream steering"). Resolved once per endpoint table, so
+  /// the modulo stays off the injection path.
   int route(int dst_rank, int src_ctx) const noexcept {
     const int n = nics_[static_cast<std::size_t>(dst_rank)]->num_contexts();
     return src_ctx < n ? src_ctx : src_ctx % n;
   }
 
-  /// Inject a packet from stream (src_rank, src_ctx) toward `dst_rank`.
+  /// Inject a packet from stream (src_rank, src_ctx) toward `dst_rank`,
+  /// over the cold-start route (tests and single-threaded tools).
   /// Returns false when the stream's lane is out of credits — the caller
   /// must back off (drop the CRI lock, progress, retry); see p2p/sender.cpp.
   /// With checksums enabled every packet is stamped here, *before* fault
@@ -344,22 +353,24 @@ class Fabric {
   bool plain_path_ = true;
 };
 
-/// A (context, peer) pairing — the sender-side handle a CRI uses to reach
-/// one destination rank, mirroring one endpoint/QP per peer per context.
-/// The destination context and lane are resolved ONCE here: fabric routing
-/// is static after construction, and re-walking nic/context/lane tables per
-/// packet cost several dependent loads on the hottest path in the codebase.
+/// A (context, peer, peer context) pairing — the sender-side handle a CRI
+/// uses to reach one context of one destination rank, mirroring one
+/// endpoint/QP per endpoint pair. The destination context and lane are
+/// resolved ONCE here: re-walking nic/context/lane tables per packet cost
+/// several dependent loads on the hottest path in the codebase. Steering
+/// picks among a CRI's endpoints; an endpoint itself never re-routes.
 class Endpoint {
  public:
-  Endpoint(Fabric& fabric, NetworkContext& local, int dst_rank) noexcept
+  Endpoint(Fabric& fabric, NetworkContext& local, int dst_rank, int dst_ctx) noexcept
       : fabric_(&fabric),
-        dst_ctx_(&fabric.nic(dst_rank).context(fabric.route(dst_rank, local.index()))),
+        dst_ctx_(&fabric.nic(dst_rank).context(dst_ctx)),
         dst_rank_(dst_rank),
         lane_(dst_ctx_->rx().lane_for(local.rank(), local.index())),
         ring_(dst_ctx_->rx().lane_ring(lane_)),
         src_ctx_(static_cast<std::uint16_t>(local.index())) {}
 
   int dst_rank() const noexcept { return dst_rank_; }
+  int dst_ctx() const noexcept { return dst_ctx_->index(); }
 
   /// Injects; false on backpressure. Caller must be this endpoint's
   /// serialized producer — production callers reach here through

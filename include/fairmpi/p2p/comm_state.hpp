@@ -1,11 +1,13 @@
 // Per-communicator engine state.
 //
 // Holds the two things the paper's two-sided pipeline needs per
-// communicator: the matching engine (receiver side) and the per-destination
-// send sequence counters (sender side). As in OB1, the sequence number is
-// ticketed with a relaxed atomic *before* the network resources are
-// acquired — the race between ticketing and injection across threads is the
-// source of out-of-sequence arrivals (DESIGN.md §5).
+// communicator: the matching engine (receiver side) and, per peer, the send
+// sequence counter and the steering hint (sender side). As in OB1, the
+// sequence number is ticketed with a relaxed atomic *before* the network
+// resources are acquired — the race between ticketing and injection across
+// threads is the source of out-of-sequence arrivals (DESIGN.md §5). The
+// hint names the peer context this communicator's traffic to that peer
+// should land in (DESIGN.md "Stream steering").
 #pragma once
 
 #include <atomic>
@@ -14,6 +16,7 @@
 #include <vector>
 
 #include "fairmpi/common/align.hpp"
+#include "fairmpi/fabric/fabric.hpp"
 #include "fairmpi/match/match_engine.hpp"
 #include "fairmpi/spc/spc.hpp"
 
@@ -47,7 +50,7 @@ class CommState {
   CommState(CommId id, int num_ranks, bool allow_overtaking, spc::CounterSet& counters,
             bool reliable = false, std::vector<int> members = {})
       : id_(id), match_(num_ranks, allow_overtaking, counters, reliable),
-        send_seq_(static_cast<std::size_t>(num_ranks)), members_(std::move(members)) {}
+        peers_(static_cast<std::size_t>(num_ranks)), members_(std::move(members)) {}
 
   CommState(const CommState&) = delete;
   CommState& operator=(const CommState&) = delete;
@@ -58,7 +61,29 @@ class CommState {
   /// Ticket the next sequence number toward `dst` (Alg. 1 precursor).
   /// `dst` is a global rank.
   std::uint32_t next_seq(int dst) noexcept {
-    return send_seq_[static_cast<std::size_t>(dst)]->fetch_add(1, std::memory_order_relaxed);
+    return peers_[static_cast<std::size_t>(dst)]->seq.fetch_add(1, std::memory_order_relaxed);
+  }
+
+  // --- stream steering (DESIGN.md "Stream steering") ---
+
+  /// Destination context for this communicator's traffic to global rank
+  /// `dst`: the source context `dst` last sent us an envelope from here,
+  /// or fabric::kStaticRoute until it has sent one.
+  int steer(int dst) const noexcept {
+    // lint: allow(relaxed-sync) a routing hint only: a stale value picks another peer context, and matching orders by sequence number, not by lane
+    return peers_[static_cast<std::size_t>(dst)]->ctx.load(std::memory_order_relaxed);
+  }
+
+  /// Record that global rank `src` sent us an envelope on this
+  /// communicator from its context `src_ctx`. Writes only on a change, so
+  /// a settled stream leaves the senders' cache line alone.
+  void note_stream(int src, int src_ctx) noexcept {
+    std::atomic<std::int32_t>& ctx = peers_[static_cast<std::size_t>(src)]->ctx;
+    // lint: allow(relaxed-sync) a routing hint only: no other data is published with it
+    if (ctx.load(std::memory_order_relaxed) != src_ctx) {
+      // lint: allow(relaxed-sync) a routing hint only: no other data is published with it
+      ctx.store(src_ctx, std::memory_order_relaxed);
+    }
   }
 
   // --- group (empty = all ranks of the universe) ---
@@ -112,11 +137,17 @@ class CommState {
   bool revoked() const noexcept { return revoked_.load(std::memory_order_acquire); }
 
  private:
+  /// Per-peer sender state. The sequence counter is deliberately hot
+  /// (every sending thread increments it) and the hint is read next to it,
+  /// so they share one padded line that no other peer's traffic touches.
+  struct PeerStream {
+    std::atomic<std::uint32_t> seq{0};
+    std::atomic<std::int32_t> ctx{fabric::kStaticRoute};
+  };
+
   const CommId id_;
   match::MatchEngine match_;
-  /// One padded counter per destination: the counters are deliberately hot
-  /// (every sending thread increments them) but must not false-share.
-  std::vector<Padded<std::atomic<std::uint32_t>>> send_seq_;
+  std::vector<Padded<PeerStream>> peers_;
   std::vector<int> members_;  ///< global ranks in local order; immutable
   std::atomic<bool> revoked_{false};
   /// Collective lane bitmap (bit set = lane busy). Lock-free: acquire is a

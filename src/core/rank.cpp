@@ -267,12 +267,17 @@ std::size_t Rank::progress() {
   return completions;
 }
 
+int Rank::steer_ctx(int dst, const fabric::WireHeader& hdr) {
+  return hdr.opcode == fabric::Opcode::kHeartbeat ? fabric::kStaticRoute
+                                                   : comm_state(hdr.comm_id).steer(dst);
+}
+
 bool Rank::inject_raw(int dst, fabric::Packet&& pkt) {
   const int k = pool_.id_for_thread();
   cri::CommResourceInstance& inst = pool_.instance(k);
   // Same injection path as eager_send: control traffic (acks,
   // retransmits) takes the instance lock like data does.
-  return inst.inject(dst, pkt, spc_);
+  return inst.inject(dst, steer_ctx(dst, pkt.hdr), pkt, spc_);
 }
 
 void Rank::enqueue_packet_ack(const fabric::WireHeader& hdr) {
@@ -680,9 +685,13 @@ std::size_t Rank::handle_packet(fabric::Packet&& pkt) {
       // rendezvous hook inside the engine. The header outlives the move so
       // the admission verdict can be answered on the wire afterwards.
       const fabric::WireHeader hdr = pkt.hdr;
+      p2p::CommState& cs = comm_state(hdr.comm_id);
+      // Stream steering: only envelopes carry the hint. They leave from
+      // the sending thread's own instance, whereas acks, retransmits and
+      // rendezvous data leave from whichever thread happened to progress.
+      cs.note_stream(static_cast<int>(hdr.src_rank), static_cast<int>(hdr.src_ctx));
       fairmpi::match::Admission adm = fairmpi::match::Admission::kAdmitted;
-      const std::size_t delivered =
-          comm_state(hdr.comm_id).match().incoming(std::move(pkt), &adm);
+      const std::size_t delivered = cs.match().incoming(std::move(pkt), &adm);
       if (tracker_ != nullptr) {
         if (adm == fairmpi::match::Admission::kShed ||
             adm == fairmpi::match::Admission::kShedDuplicate) {

@@ -213,10 +213,11 @@ void Rank::inject_control(int dst, Packet&& pkt) {
     }
     const int k = pool_.id_for_thread();
     cri::CommResourceInstance& inst = pool_.instance(k);
+    const int dst_ctx = steer_ctx(dst, pkt.hdr);
     bool injected = false;
     {
       LockGuard guard(inst.lock());
-      injected = inst.endpoint(dst).try_send(std::move(pkt));
+      injected = inst.endpoint(dst, dst_ctx).try_send(std::move(pkt));
       if (injected) inst.stats().note_injection();
     }
     if (injected) return;

@@ -27,10 +27,11 @@ void CommResourceInstance::lock_timed(spc::CounterSet& counters) {
   counters.add(spc::Counter::kInstanceLockWaitNs, now_ns() - t0);
 }
 
-bool CommResourceInstance::inject(int dst, fabric::Packet& pkt, spc::CounterSet& counters) {
+bool CommResourceInstance::inject(int dst, int dst_ctx, fabric::Packet& pkt,
+                                  spc::CounterSet& counters) {
   lock_timed(counters);
   LockGuard adopt(lock_, adopt_lock);
-  const bool ok = endpoints_[static_cast<std::size_t>(dst)].try_send(std::move(pkt));
+  const bool ok = endpoint(dst, dst_ctx).try_send(std::move(pkt));
   if (ok) stats_.note_injection();
   return ok;
 }

@@ -144,8 +144,10 @@ common::ErrorCode eager_send(CommState& comm, cri::CriPool& pool,
     cri::CommResourceInstance& inst = pool.instance(k);
 
     // inject() takes the instance lock (timed when contended, DESIGN.md
-    // §5f); the packet is intact again on backpressure.
-    const bool injected = inst.inject(dst, pkt, counters);
+    // §5f); the packet is intact again on backpressure. The steering hint
+    // is re-read per attempt: a reply that lands while we wait redirects
+    // the retry too.
+    const bool injected = inst.inject(dst, comm.steer(dst), pkt, counters);
     if (injected) break;
 
     // Destination RX ring full: the fabric's EAGAIN. Drop the instance,

@@ -28,7 +28,9 @@ void round_trip(Universe& uni, std::size_t size, int tag) {
   }
   ASSERT_EQ(rreq.status().size, size);
   ASSERT_FALSE(rreq.status().truncated);
-  if (size != 0) ASSERT_EQ(std::memcmp(got.data(), data.data(), size), 0);
+  if (size != 0) {
+    ASSERT_EQ(std::memcmp(got.data(), data.data(), size), 0);
+  }
 }
 
 TEST(Boundaries, PayloadSizesAroundEveryStorageThreshold) {

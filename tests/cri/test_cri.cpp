@@ -115,10 +115,19 @@ TEST(CriPool, IdForThreadFollowsPolicy) {
 }
 
 TEST(CriPool, EndpointsReachEveryPeer) {
-  fabric::Fabric fabric({2, 2, 2});
+  fabric::Fabric fabric({2, 3, 1});
   CriPool pool(fabric, 1, Assignment::kRoundRobin);
+  CommResourceInstance& inst = pool.instance(2);
+  LockGuard guard(inst.lock());
   for (int peer = 0; peer < 3; ++peer) {
-    EXPECT_EQ(pool.instance(0).endpoint(peer).dst_rank(), peer);
+    const int n = fabric.nic(peer).num_contexts();
+    for (int c = 0; c < n; ++c) {
+      EXPECT_EQ(inst.endpoint(peer, c).dst_rank(), peer);
+      EXPECT_EQ(inst.endpoint(peer, c).dst_ctx(), c);
+    }
+    // No hint, or one outside the peer's contexts: the cold-start route.
+    EXPECT_EQ(inst.endpoint(peer, fabric::kStaticRoute).dst_ctx(), fabric.route(peer, 2));
+    EXPECT_EQ(inst.endpoint(peer, n).dst_ctx(), fabric.route(peer, 2));
   }
 }
 
@@ -151,7 +160,7 @@ TEST(CriInstance, ContendedInjectBlocksUntilUnlockAndTimesTheWait) {
     fabric::Packet pkt;
     pkt.hdr.opcode = fabric::Opcode::kEager;
     entering.store(true, std::memory_order_release);
-    EXPECT_TRUE(inst.inject(1, pkt, counters));
+    EXPECT_TRUE(inst.inject(1, fabric::kStaticRoute, pkt, counters));
     returned.store(true, std::memory_order_release);
     holder.join();
 

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cstring>
+#include <set>
 #include <string>
 #include <vector>
 
@@ -53,7 +54,8 @@ TEST(Wire, MoveTransfersHeapOwnership) {
 
 TEST(Fabric, RouteModulo) {
   Fabric fabric({4, 2});
-  // Sender context i lands in receiver context i mod n_receiver.
+  // Cold-start route: sender context i lands in receiver context
+  // i mod n_receiver until steering knows better.
   EXPECT_EQ(fabric.route(/*dst=*/1, /*src_ctx=*/0), 0);
   EXPECT_EQ(fabric.route(1, 1), 1);
   EXPECT_EQ(fabric.route(1, 2), 0);
@@ -88,7 +90,7 @@ TEST(Fabric, BackpressureWhenRingFull) {
 
 TEST(Fabric, EndpointStampsSourceContext) {
   Fabric fabric({3, 3});
-  Endpoint ep(fabric, fabric.nic(0).context(2), /*dst=*/1);
+  Endpoint ep(fabric, fabric.nic(0).context(2), /*dst=*/1, /*dst_ctx=*/2);
   ASSERT_TRUE(ep.try_send(make_packet(0, 5)));
   Packet out;
   ASSERT_TRUE(fabric.nic(1).context(2).rx().try_pop(out));
@@ -111,6 +113,52 @@ TEST(Fabric, AsymmetricContextCounts) {
     ASSERT_TRUE(fabric.try_deliver(1, 0, ctx, make_packet(0, static_cast<std::uint32_t>(ctx))));
   }
   EXPECT_EQ(fabric.nic(1).context(0).delivered(), 8u);
+}
+
+// Steering lets any source context target any destination context, so
+// two source streams sharing a lane would give that lane two producers
+// under different instance locks. Every (source rank, source context)
+// therefore owns its own lane at every destination context: distinct lane
+// indices, and a full credit window each — filling one stream's lane
+// leaves every other stream's intact.
+TEST(Fabric, EveryStreamOwnsItsLane) {
+  for (const std::vector<int>& counts : {std::vector<int>{3, 3}, std::vector<int>{4, 2, 1}}) {
+    FabricParams params;
+    params.rx_ring_entries = 2;
+    Fabric fabric(counts, params);
+    for (int dst = 0; dst < fabric.num_ranks(); ++dst) {
+      for (int j = 0; j < fabric.nic(dst).num_contexts(); ++j) {
+        RxQueue& rx = fabric.nic(dst).context(j).rx();
+        std::set<std::size_t> lanes;
+        int streams = 0;
+        for (int src = 0; src < fabric.num_ranks(); ++src) {
+          for (int c = 0; c < fabric.nic(src).num_contexts(); ++c, ++streams) {
+            const std::size_t lane = rx.lane_for(src, c);
+            EXPECT_LT(lane, rx.num_lanes());
+            lanes.insert(lane);
+            // Through the production handle: fill this stream's window.
+            Endpoint ep(fabric, fabric.nic(src).context(c), dst, j);
+            for (std::size_t k = 0; k < rx.lane_capacity(); ++k) {
+              EXPECT_TRUE(ep.try_send(make_packet(src, static_cast<std::uint32_t>(k))))
+                  << "stream (" << src << ", " << c << ") -> (" << dst << ", " << j << ")";
+            }
+            EXPECT_FALSE(ep.try_send(make_packet(src, 99)));
+          }
+        }
+        EXPECT_EQ(lanes.size(), static_cast<std::size_t>(streams));
+        // Every stream's window arrived whole, each from its own source.
+        Packet out;
+        std::multiset<std::pair<int, int>> seen;
+        while (rx.try_pop(out)) seen.emplace(out.hdr.src_rank, out.hdr.src_ctx);
+        EXPECT_EQ(seen.size(), static_cast<std::size_t>(streams) * rx.lane_capacity());
+        for (int src = 0; src < fabric.num_ranks(); ++src) {
+          for (int c = 0; c < fabric.nic(src).num_contexts(); ++c) {
+            EXPECT_EQ(seen.count({src, c}), rx.lane_capacity());
+          }
+        }
+      }
+    }
+  }
 }
 
 }  // namespace

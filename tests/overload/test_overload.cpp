@@ -399,7 +399,9 @@ TEST(Cancel, CancelVsMatchRaceSettlesExactlyOnce) {
     ASSERT_TRUE(rreq.error() == ErrorCode::kOk ||
                 rreq.error() == ErrorCode::kCancelled)
         << "iter " << iter;
-    if (rreq.error() == ErrorCode::kOk) EXPECT_EQ(got, 'r');
+    if (rreq.error() == ErrorCode::kOk) {
+      EXPECT_EQ(got, 'r');
+    }
   }
 }
 
