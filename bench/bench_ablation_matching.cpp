@@ -107,6 +107,30 @@ void BM_MatchQueueSearchDepth(benchmark::State& state) {
 }
 BENCHMARK(BM_MatchQueueSearchDepth)->Arg(0)->Arg(16)->Arg(128)->Arg(1024);
 
+/// The tag bins' worst case: every decoy tag is congruent to the hot tag
+/// mod 16, so all of them share its bin and the search is linear again.
+void BM_MatchQueueSearchSameBin(benchmark::State& state) {
+  const int depth = static_cast<int>(state.range(0));
+  fairmpi::spc::CounterSet spc;
+  MatchEngine eng(2, false, spc);
+  std::uint32_t buf = 0;
+  const int hot_tag = 7;
+  std::vector<Request> decoys(static_cast<std::size_t>(depth));
+  for (int i = 0; i < depth; ++i) {
+    decoys[static_cast<std::size_t>(i)].init_recv(&buf, sizeof buf, 1, hot_tag + 16 * (1 + i));
+    eng.post(&decoys[static_cast<std::size_t>(i)]);
+  }
+  std::uint32_t seq = 0;
+  for (auto _ : state) {
+    Request req;
+    req.init_recv(&buf, sizeof buf, 1, hot_tag);
+    eng.post(&req);
+    eng.incoming(make_eager(seq++, hot_tag));
+  }
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_MatchQueueSearchSameBin)->Arg(0)->Arg(16)->Arg(128)->Arg(1024);
+
 /// Wildcard-tag receives skip the queue search (Fig. 4's trick): the
 /// incoming envelope always matches the first posted entry.
 void BM_MatchAnyTag(benchmark::State& state) {

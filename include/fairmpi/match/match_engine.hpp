@@ -9,13 +9,21 @@
 //   1. sequence validation — per (src) expected counter; out-of-sequence
 //      arrivals are buffered. Skipped entirely in overtaking mode
 //      (`mpi_assert_allow_overtaking`, §IV-D).
-//   2. queue search — first posted receive whose (source, tag) filter
-//      matches, honouring post order across the per-peer and ANY_SOURCE
-//      queues; unmatched messages land in the per-peer unexpected queue.
+//   2. queue search — the earliest-posted receive whose (source, tag)
+//      filter matches. Posted receives sit in tag bins (Flajslik et al.,
+//      "Mitigating MPI Message Matching Misery", ISC 2016): per source, a
+//      specific-tag receive goes in bin `tag & (kTagBins-1)`, an ANY_TAG
+//      receive in the source's own list, and ANY_SOURCE receives in one
+//      shared list. An envelope scans its own bin and the first acceptor of
+//      the two wildcard lists; the lowest post stamp among the candidates
+//      wins, so MPI's matching order is unchanged. Unmatched messages land
+//      in the source's unexpected bin for their tag.
 //
 // Allocation discipline (DESIGN.md §5): the steady-state matching path
 // never calls the general-purpose allocator.
-//   * posted queues are intrusive lists threaded through p2p::Request;
+//   * posted and unexpected bins are intrusive lists (threaded through
+//     p2p::Request and the pooled unexpected node), held in PeerState,
+//     whose table the constructor sizes once;
 //   * unexpected messages live in pooled nodes (common::SlabPool);
 //   * the reorder buffer is a fixed power-of-two ring indexed by
 //     `seq & (kReorderWindow-1)` — a std::map spill handles the rare
@@ -248,6 +256,12 @@ class MatchEngine : public p2p::CancelScope {
   using PostedList =
       common::IntrusiveList<p2p::Request, &p2p::Request::mq_prev, &p2p::Request::mq_next>;
 
+  /// Tag bins per source: a specific tag `t` lives in bin `t & (kTagBins-1)`.
+  static constexpr std::size_t kTagBins = 16;
+  static std::size_t bin_of(int tag) noexcept {
+    return static_cast<unsigned>(tag) & (kTagBins - 1);
+  }
+
   /// Fixed-window reorder buffer; lazily allocated on a peer's first
   /// out-of-sequence arrival so in-order streams pay nothing for it.
   /// Invariant: every live entry has seq in (expected, expected + window),
@@ -271,9 +285,10 @@ class MatchEngine : public p2p::CancelScope {
     std::unique_ptr<ReorderRing> reorder;             ///< window buffer (lazy)
     std::map<std::uint32_t, fabric::Packet> spill;    ///< beyond-window overflow
     std::unique_ptr<SeenTracker> seen;  ///< dedup, reliable+overtaking only (lazy)
-    UnexpectedList unexpected;
+    std::array<PostedList, kTagBins> posted;  ///< specific-tag posted receives
+    PostedList posted_any_tag;                ///< ANY_TAG posted receives
+    std::array<UnexpectedList, kTagBins> unexpected;  ///< unexpected messages
     std::size_t unexpected_n = 0;  ///< O(1) depth (admission watermark check)
-    PostedList posted;  ///< source-specific posted receives
     bool dead = false;  ///< ft: source confirmed dead (fail_source ran)
     bool paused = false;  ///< overload kQueue: latched over the cap
     std::array<std::uint32_t, kShedMemory> shed_seqs{};  ///< re-NACK ring
@@ -331,7 +346,7 @@ class MatchEngine : public p2p::CancelScope {
   template <class Pick>
   std::size_t settle_list(spc::CounterSet::Cursor& ctr, PostedList& list,
                           common::ErrorCode code, Pick pick) FAIRMPI_REQUIRES(lock_);
-  /// settle_list over every posted list (per-peer, then ANY_SOURCE).
+  /// settle_list over every posted list (per-peer bins, then ANY_SOURCE).
   template <class Pick>
   std::size_t settle_posted(spc::CounterSet::Cursor& ctr, common::ErrorCode code,
                             Pick pick) FAIRMPI_REQUIRES(lock_);
@@ -339,6 +354,15 @@ class MatchEngine : public p2p::CancelScope {
   PeerState& peer(int rank) FAIRMPI_REQUIRES(lock_) {
     return peers_[static_cast<std::size_t>(rank)];
   }
+
+  /// The list a receive with these filters is linked on while posted.
+  PostedList& posted_list(int src, int tag) FAIRMPI_REQUIRES(lock_);
+
+  /// Earliest-arrived unexpected message a receive with these filters
+  /// would match, or null; `scanned` counts the entries examined. An exact
+  /// tag scans one bin per source; ANY_TAG compares the bin fronts.
+  Unexpected* find_unexpected(int src, int tag, std::size_t& scanned)
+      FAIRMPI_REQUIRES(lock_);
 
   const bool allow_overtaking_;
   const bool reliable_;

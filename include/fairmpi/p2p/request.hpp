@@ -118,7 +118,8 @@ class Request {
 
   // Intrusive hooks for the matching engine's posted queues (see
   // common/intrusive_list.hpp). A posted receive sits on exactly one list —
-  // its peer's queue or the any-source queue — so one hook pair suffices.
+  // a tag bin, its source's ANY_TAG list, or the ANY_SOURCE list — so one
+  // hook pair suffices.
   // Owned (read and written) exclusively under the match lock.
   Request* mq_prev = nullptr;
   Request* mq_next = nullptr;

@@ -9,10 +9,10 @@
 // (the simulated NIC is the calling thread) and posts a completion event to
 // the initiating CRI's completion queue; `flush*` drains CQs until the
 // window's pending-operation count returns to zero. As in Open MPI's
-// btl-level flush, draining polls the caller's own instance first and only
-// then sweeps the others — independent of the two-sided progress design,
-// which is why the paper sees little difference between serial and
-// concurrent progress for RMA.
+// btl-level flush, draining polls the caller's own instance first and sweeps
+// the others only while its own yields nothing — independent of the
+// two-sided progress design, which is why the paper sees little difference
+// between serial and concurrent progress for RMA.
 //
 // Synchronization: flush orders RMA completion; making the *results* visible
 // to another thread still requires a happens-before edge (barrier, message,

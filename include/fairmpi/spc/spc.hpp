@@ -37,8 +37,8 @@ enum class Counter : int {
   kOutOfSequence,          ///< arrived with seq != expected (buffered)
   kMatchTimeNs,            ///< total time spent holding a matching lock
   kMatchAttempts,          ///< entries into the matching critical section
-  kPostedQueueDepth,       ///< cumulative posted-recv queue length at search
-  kUnexpectedQueueDepth,   ///< cumulative unexpected queue length at search
+  kPostedQueueDepth,       ///< cumulative posted-recv entries examined per search
+  kUnexpectedQueueDepth,   ///< cumulative unexpected entries examined per search
   kOosBufferPeak,          ///< high-water mark of the reorder buffer (max, not sum)
   kSendBackpressure,       ///< sends that had to retry on a full RX ring
   kProgressCalls,          ///< entries into the progress engine

@@ -2,7 +2,7 @@
 
 #include <bit>
 #include <cstring>
-#include <limits>
+#include <initializer_list>
 
 #include "fairmpi/common/error.hpp"
 #include "fairmpi/common/timing.hpp"
@@ -26,10 +26,51 @@ MatchEngine::~MatchEngine() {
   // own pooled payload buffers) are destroyed; the slab pool itself frees
   // raw memory wholesale and does not run destructors.
   for (auto& ps : peers_) {
-    while (Unexpected* n = ps.unexpected.pop_front()) {
-      unexpected_pool_.release(n);
+    for (auto& list : ps.unexpected) {
+      while (Unexpected* n = list.pop_front()) unexpected_pool_.release(n);
     }
   }
+}
+
+MatchEngine::PostedList& MatchEngine::posted_list(int src, int tag) {
+  if (src == p2p::kAnySource) return posted_any_;
+  PeerState& ps = peer(src);
+  return tag == p2p::kAnyTag ? ps.posted_any_tag : ps.posted[bin_of(tag)];
+}
+
+MatchEngine::Unexpected* MatchEngine::find_unexpected(int src, int tag,
+                                                      std::size_t& scanned) {
+  Unexpected* best = nullptr;
+  auto offer = [&](Unexpected* u) {
+    if (best == nullptr || u->arrival < best->arrival) best = u;
+  };
+  // Within one bin arrival order is list order, so the first match is the
+  // earliest; an ANY_TAG receive accepts every bin's front.
+  auto scan_source = [&](PeerState& ps) {
+    if (tag == p2p::kAnyTag) {
+      for (auto& list : ps.unexpected) {
+        if (Unexpected* u = list.front()) {
+          ++scanned;
+          offer(u);
+        }
+      }
+      return;
+    }
+    for (Unexpected* u = ps.unexpected[bin_of(tag)].front(); u != nullptr;
+         u = UnexpectedList::next(u)) {
+      ++scanned;
+      if (u->pkt.hdr.tag == tag) {
+        offer(u);
+        return;
+      }
+    }
+  };
+  if (src == p2p::kAnySource) {
+    for (auto& ps : peers_) scan_source(ps);
+  } else {
+    scan_source(peer(src));
+  }
+  return best;
 }
 
 void MatchEngine::deliver(spc::CounterSet::Cursor& ctr, p2p::Request* req,
@@ -77,50 +118,31 @@ std::size_t MatchEngine::match_one(spc::CounterSet::Cursor& ctr, fabric::Packet&
   const int tag = pkt.hdr.tag;
   PeerState& ps = peer(src);
 
-  // Queue search: earliest posted receive (by post stamp) whose filters
-  // accept this message, across the source-specific and wildcard queues.
-  auto accepts = [&](const p2p::Request* req) {
-    return req->tag_filter() == p2p::kAnyTag || req->tag_filter() == tag;
-  };
-
+  // Queue search: the earliest posted receive (by post stamp) whose
+  // filters accept this message. Each list is in post order, so its first
+  // acceptor is its candidate; the lowest stamp over the candidates wins.
   std::size_t scanned = 0;
-  p2p::Request* spec = nullptr;
-  for (p2p::Request* r = ps.posted.front(); r != nullptr; r = PostedList::next(r)) {
-    ++scanned;
-    if (accepts(r)) {
-      spec = r;
-      break;
+  auto first_acceptor = [&](PostedList& list) -> p2p::Request* {
+    for (p2p::Request* r = list.front(); r != nullptr; r = PostedList::next(r)) {
+      ++scanned;
+      if (r->tag_filter() == tag || r->tag_filter() == p2p::kAnyTag) return r;
     }
-  }
-  p2p::Request* any = nullptr;
-  for (p2p::Request* r = posted_any_.front(); r != nullptr; r = PostedList::next(r)) {
-    ++scanned;
-    if (accepts(r)) {
-      any = r;
-      break;
+    return nullptr;
+  };
+  const std::size_t bin = bin_of(tag);
+  PostedList* win_list = &ps.posted[bin];
+  p2p::Request* winner = first_acceptor(*win_list);
+  for (PostedList* list : {&ps.posted_any_tag, &posted_any_}) {
+    p2p::Request* r = first_acceptor(*list);
+    if (r != nullptr && (winner == nullptr || r->post_stamp < winner->post_stamp)) {
+      winner = r;
+      win_list = list;
     }
   }
   ctr.add(Counter::kPostedQueueDepth, scanned);
 
-  p2p::Request* winner = nullptr;
-  if (spec != nullptr && any != nullptr) {
-    // Both candidates match: the MPI matching order is post order.
-    if (spec->post_stamp < any->post_stamp) {
-      ps.posted.erase(spec);
-      winner = spec;
-    } else {
-      posted_any_.erase(any);
-      winner = any;
-    }
-  } else if (spec != nullptr) {
-    ps.posted.erase(spec);
-    winner = spec;
-  } else if (any != nullptr) {
-    posted_any_.erase(any);
-    winner = any;
-  }
-
   if (winner != nullptr) {
+    win_list->erase(winner);
     deliver(ctr, winner, pkt);
     return 1;
   }
@@ -173,7 +195,7 @@ std::size_t MatchEngine::match_one(spc::CounterSet::Cursor& ctr, fabric::Packet&
   Unexpected* node = unexpected_pool_.acquire();
   node->arrival = arrival_stamp_++;
   node->pkt = std::move(pkt);
-  ps.unexpected.push_back(node);
+  ps.unexpected[bin].push_back(node);
   note_unexpected_add(ps);
   return 0;
 }
@@ -388,51 +410,25 @@ bool MatchEngine::post(p2p::Request* req) {
     ScopedCycles timer(cycles);
     ctr.add(Counter::kMatchAttempts);
 
-    auto accepts = [&](const Unexpected* u) {
-      return tag == p2p::kAnyTag || tag == u->pkt.hdr.tag;
-    };
-
-    // Search the unexpected queue(s) for the earliest-arrived match.
-    PeerState* best_ps = nullptr;
-    Unexpected* best = nullptr;
-    std::uint64_t best_arrival = std::numeric_limits<std::uint64_t>::max();
+    // Search the unexpected bins for the earliest-arrived match.
     std::size_t scanned = 0;
-
-    auto scan_peer = [&](PeerState& ps) {
-      for (Unexpected* u = ps.unexpected.front(); u != nullptr;
-           u = UnexpectedList::next(u)) {
-        ++scanned;
-        if (accepts(u)) {
-          if (u->arrival < best_arrival) {
-            best_arrival = u->arrival;
-            best_ps = &ps;
-            best = u;
-          }
-          break;  // within one peer, earliest match is the first match
-        }
-      }
-    };
-
-    if (src == p2p::kAnySource) {
-      for (auto& ps : peers_) scan_peer(ps);
-    } else {
-      scan_peer(peer(src));
-    }
+    Unexpected* best = find_unexpected(src, tag, scanned);
     ctr.add(Counter::kUnexpectedQueueDepth, scanned);
 
     if (best != nullptr) {
       const int consumed_src = static_cast<int>(best->pkt.hdr.src_rank);
+      PeerState& best_ps = peer(consumed_src);
       deliver(ctr, req, best->pkt);
-      best_ps->unexpected.erase(best);
+      best_ps.unexpected[bin_of(best->pkt.hdr.tag)].erase(best);
       unexpected_pool_.release(best);
-      note_unexpected_sub(*best_ps);
+      note_unexpected_sub(best_ps);
       // kQueue re-admission: unlatch once the peer drained to the low
       // watermark (hysteresis — not at cap-1, or the latch would flap).
-      if (best_ps->paused && gov_ != nullptr) {
+      if (best_ps.paused && gov_ != nullptr) {
         const overload::Limits& lim = gov_->limits();
-        if (best_ps->unexpected_n * 100 <=
+        if (best_ps.unexpected_n * 100 <=
             static_cast<std::size_t>(lim.low_pct) * lim.unexpected_cap) {
-          best_ps->paused = false;
+          best_ps.paused = false;
           gov_->resume_peer();
           if (tracer_ != nullptr) {
             tracer_->record(trace::Event::kOverloadPause,
@@ -458,11 +454,7 @@ bool MatchEngine::post(p2p::Request* req) {
       // sweep takes lock_ too, so it either sees the receive or runs after
       // this arm (timing.hpp).
       if (req->deadline() != 0 && due_ != nullptr) lower_due(*due_, req->deadline());
-      if (src == p2p::kAnySource) {
-        posted_any_.push_back(req);
-      } else {
-        peer(src).posted.push_back(req);
-      }
+      posted_list(src, tag).push_back(req);
     }
   }
   ctr.add(Counter::kMatchTimeNs, CycleClock::to_ns(cycles));
@@ -474,25 +466,8 @@ bool MatchEngine::probe(int src, int tag, p2p::Status* status) {
                         (src >= 0 && src < static_cast<int>(peers_.size())),
                     "invalid source filter");
   LockGuard guard(lock_);
-
-  auto accepts = [&](const Unexpected* u) {
-    return tag == p2p::kAnyTag || tag == u->pkt.hdr.tag;
-  };
-  const Unexpected* best = nullptr;
-  auto scan_peer = [&](const PeerState& ps) {
-    for (const Unexpected* u = ps.unexpected.front(); u != nullptr;
-         u = UnexpectedList::next(u)) {
-      if (accepts(u)) {
-        if (best == nullptr || u->arrival < best->arrival) best = u;
-        break;
-      }
-    }
-  };
-  if (src == p2p::kAnySource) {
-    for (const auto& ps : peers_) scan_peer(ps);
-  } else {
-    scan_peer(peers_[static_cast<std::size_t>(src)]);
-  }
+  std::size_t scanned = 0;
+  const Unexpected* best = find_unexpected(src, tag, scanned);
   if (best == nullptr) return false;
 
   if (status != nullptr) {
@@ -537,7 +512,10 @@ template <class Pick>
 std::size_t MatchEngine::settle_posted(spc::CounterSet::Cursor& ctr, common::ErrorCode code,
                                        Pick pick) {
   std::size_t settled = 0;
-  for (auto& ps : peers_) settled += settle_list(ctr, ps.posted, code, pick);
+  for (auto& ps : peers_) {
+    for (auto& list : ps.posted) settled += settle_list(ctr, list, code, pick);
+    settled += settle_list(ctr, ps.posted_any_tag, code, pick);
+  }
   return settled + settle_list(ctr, posted_any_, code, pick);
 }
 
@@ -565,8 +543,12 @@ std::size_t MatchEngine::fail_source(int src) {
   reorder_total_ -= ps.spill.size();
   ps.spill.clear();
 
-  return settle_list(ctr, ps.posted, common::ErrorCode::kPeerFailed,
-                     [](const p2p::Request*) { return true; });
+  const auto all = [](const p2p::Request*) { return true; };
+  std::size_t failed = 0;
+  for (auto& list : ps.posted) {
+    failed += settle_list(ctr, list, common::ErrorCode::kPeerFailed, all);
+  }
+  return failed + settle_list(ctr, ps.posted_any_tag, common::ErrorCode::kPeerFailed, all);
 }
 
 std::size_t MatchEngine::fail_all_posted() {
@@ -599,8 +581,7 @@ bool MatchEngine::cancel_request(p2p::Request* req) {
   // Settle only while the request is verifiably still linked: a matcher
   // that consumed it (under this same lock) already owns the completion,
   // and a cancel must never turn a delivered message into a lost one.
-  PostedList& list = src == p2p::kAnySource ? posted_any_ : peer(src).posted;
-  return settle_list(ctr, list, common::ErrorCode::kCancelled,
+  return settle_list(ctr, posted_list(src, req->tag_filter()), common::ErrorCode::kCancelled,
                      [req](const p2p::Request* r) { return r == req; }) == 1;
 }
 
@@ -617,7 +598,10 @@ std::size_t MatchEngine::reorder_buffered() const noexcept {
 std::size_t MatchEngine::posted_count() const noexcept {
   LockGuard guard(lock_);
   std::size_t n = posted_any_.size();
-  for (const auto& ps : peers_) n += ps.posted.size();
+  for (const auto& ps : peers_) {
+    n += ps.posted_any_tag.size();
+    for (const auto& list : ps.posted) n += list.size();
+  }
   return n;
 }
 

@@ -153,8 +153,11 @@ void Window::drain_until(DonePredicate done) {
   cri::CriPool& pool = rank_->pool();
   common::Backoff waiter;
   while (!done()) {
-    // Own instance first (Alg. 2's affinity), then sweep: a thread's
-    // completions usually sit on the instance it injected through.
+    // Own instance first (Alg. 2's affinity); sweep the others only while
+    // it yields nothing. A thread's completions usually sit on the instance
+    // it injected through, so any visited instance that yields completions
+    // restarts the pass at our own: draining the next initiator's CQ after
+    // a partial drain of ours would contend with its puts for no gain.
     const int own = pool.id_for_thread();
     bool polled = false;
     for (int i = 0; i < pool.size(); ++i) {
@@ -165,11 +168,12 @@ void Window::drain_until(DonePredicate done) {
         continue;
       }
       polled = true;
+      std::size_t completions = 0;
       {
         LockGuard adopt(inst.lock(), adopt_lock);
-        rank_->engine().progress_instance_locked(inst);
+        completions = rank_->engine().progress_instance_locked(inst);
       }
-      if (done()) break;
+      if (completions != 0 || done()) break;
     }
     if (polled) {
       waiter.reset();

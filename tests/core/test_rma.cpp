@@ -202,6 +202,30 @@ TEST_F(RmaTest, ManyThreadsScalePendingCorrectly) {
             static_cast<std::uint64_t>(kThreads) * kIters);
 }
 
+TEST_F(RmaTest, FlushLeavesOtherInitiatorsCompletions) {
+  // Own instance first (Alg. 2): a flush whose own CQ still yields must not
+  // drain another initiator's. 256 puts take several drain batches, so a
+  // flush that swept after each partial drain would harvest B's completions.
+  Config cfg;
+  cfg.num_instances = 2;
+  cfg.assignment = cri::Assignment::kDedicated;
+  build(cfg);
+  constexpr std::uint64_t kOthers = 40;
+  rma::Window& win = group_->window(0);
+  std::thread([&] {
+    const char byte = 'b';
+    for (std::uint64_t i = 0; i < kOthers; ++i) win.put(1, 0, &byte, 1);
+  }).join();
+  std::thread([&] {
+    const char byte = 'a';
+    for (int i = 0; i < 256; ++i) win.put(1, 1, &byte, 1);
+    win.flush_all();
+  }).join();
+  EXPECT_EQ(win.pending(), kOthers);
+  win.flush_process();
+  EXPECT_EQ(win.pending(), 0u);
+}
+
 TEST_F(RmaTest, FenceSynchronizesEpochs) {
   Config cfg;
   cfg.num_ranks = 3;

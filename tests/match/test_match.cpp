@@ -3,7 +3,9 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
 #include <cstring>
+#include <map>
 #include <numeric>
 #include <string>
 #include <vector>
@@ -321,6 +323,225 @@ TEST_P(MatchPermutation, RandomArrivalOrderAlwaysDeliversAll) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, MatchPermutation,
                          ::testing::Values(1, 2, 3, 5, 8, 13, 21, 34));
+
+// Tag bins: one tag-B envelope reads only its own bin, however many tag-A
+// receives another stream has posted on the same source.
+TEST(MatchBins, ExactTagSkipsOtherStreams) {
+  spc::CounterSet spc;
+  MatchEngine eng(2, false, spc);
+  std::uint32_t buf = 0;
+  std::vector<Request> stream_a(128);
+  for (Request& r : stream_a) {
+    r.init_recv(&buf, sizeof buf, 1, /*tag=*/1);
+    EXPECT_FALSE(eng.post(&r));
+  }
+  Request b;
+  b.init_recv(&buf, sizeof buf, 1, /*tag=*/2);
+  EXPECT_FALSE(eng.post(&b));
+  const std::uint64_t before = spc.get(Counter::kPostedQueueDepth);
+  EXPECT_EQ(eng.incoming(make_eager(1, 0, 2)), 1u);
+  EXPECT_TRUE(b.done());
+  EXPECT_EQ(spc.get(Counter::kPostedQueueDepth) - before, 1u);
+  EXPECT_EQ(eng.posted_count(), stream_a.size());
+}
+
+// Reference model: OB1's plain linear lists. One posted list in post
+// order, one unexpected list in arrival order, per-source sequence
+// reordering. Every receive must end exactly as the model says: completed
+// by the same message, or failed with the same code, or still posted.
+class LinearOracle {
+ public:
+  struct Msg {
+    int src;
+    int tag;
+    std::uint32_t id;
+  };
+  static constexpr std::uint32_t kPending = ~0u;
+
+  LinearOracle(int ranks, std::size_t receives)
+      : got(receives, kPending),
+        err(receives, common::ErrorCode::kOk),
+        expected_(static_cast<std::size_t>(ranks), 0),
+        parked_(static_cast<std::size_t>(ranks)),
+        dead_(static_cast<std::size_t>(ranks), false) {}
+
+  // Outcome per receive: the message id it got, kPending, or an error.
+  std::vector<std::uint32_t> got;
+  std::vector<common::ErrorCode> err;
+
+  void post(std::size_t r, int src, int tag) {
+    for (auto it = unexpected_.begin(); it != unexpected_.end(); ++it) {
+      if (accepts(src, tag, *it)) {
+        got[r] = it->id;
+        unexpected_.erase(it);
+        return;
+      }
+    }
+    if (src != kAnySource && dead_[static_cast<std::size_t>(src)]) {
+      err[r] = common::ErrorCode::kPeerFailed;
+      return;
+    }
+    posted_.push_back({r, src, tag});
+  }
+
+  void arrive(std::uint32_t seq, const Msg& m) {
+    const auto s = static_cast<std::size_t>(m.src);
+    if (seq != expected_[s]) {
+      parked_[s].emplace(seq, m);
+      return;
+    }
+    match(m);
+    ++expected_[s];
+    for (auto it = parked_[s].find(expected_[s]); it != parked_[s].end();
+         it = parked_[s].find(expected_[s])) {
+      match(it->second);
+      parked_[s].erase(it);
+      ++expected_[s];
+    }
+  }
+
+  bool cancel(std::size_t r) {
+    for (auto it = posted_.begin(); it != posted_.end(); ++it) {
+      if (it->r == r) {
+        posted_.erase(it);
+        err[r] = common::ErrorCode::kCancelled;
+        return true;
+      }
+    }
+    return false;
+  }
+
+  void fail_source(int src) {
+    const auto s = static_cast<std::size_t>(src);
+    dead_[s] = true;
+    parked_[s].clear();
+    std::erase_if(posted_, [&](const Posted& p) {
+      if (p.src != src) return false;
+      err[p.r] = common::ErrorCode::kPeerFailed;
+      return true;
+    });
+  }
+
+  std::size_t posted_count() const { return posted_.size(); }
+  std::size_t unexpected_count() const { return unexpected_.size(); }
+
+ private:
+  struct Posted {
+    std::size_t r;
+    int src;
+    int tag;
+  };
+  static bool accepts(int src, int tag, const Msg& m) {
+    return (src == kAnySource || src == m.src) && (tag == kAnyTag || tag == m.tag);
+  }
+  void match(const Msg& m) {
+    for (auto it = posted_.begin(); it != posted_.end(); ++it) {
+      if (accepts(it->src, it->tag, m)) {
+        got[it->r] = m.id;
+        posted_.erase(it);
+        return;
+      }
+    }
+    unexpected_.push_back(m);
+  }
+
+  std::vector<std::uint32_t> expected_;
+  std::vector<std::map<std::uint32_t, Msg>> parked_;
+  std::vector<bool> dead_;
+  std::vector<Posted> posted_;
+  std::vector<Msg> unexpected_;
+};
+
+TEST(MatchBins, AgreesWithLinearOracle) {
+  constexpr int kRanks = 3;
+  constexpr std::size_t kOps = 3000;
+  // 3, 19 and 35 share bin 3; 5 has its own.
+  constexpr std::array<int, 4> kTags = {3, 19, 35, 5};
+  for (const std::uint64_t seed : {1u, 2u, 3u, 4u, 5u, 6u, 7u, 8u}) {
+    SCOPED_TRACE("seed " + std::to_string(seed));
+    spc::CounterSet spc;
+    MatchEngine eng(kRanks, false, spc);
+    LinearOracle model(kRanks, kOps);
+    Xoshiro256 rng(seed);
+
+    std::vector<Request> reqs(kOps);
+    std::vector<std::uint32_t> bufs(kOps, LinearOracle::kPending);
+    std::size_t n_reqs = 0;
+    std::vector<std::size_t> live;  // receives that may still be posted
+    // Sent, not yet arrived, per source in seq order.
+    std::vector<std::vector<std::pair<std::uint32_t, LinearOracle::Msg>>> wire(kRanks);
+    std::vector<std::uint32_t> next_seq(kRanks, 0);
+    std::vector<bool> dead(kRanks, false);
+    std::uint32_t next_id = 0;
+
+    auto arrive_one = [&](int s) {
+      auto& q = wire[static_cast<std::size_t>(s)];
+      // Out of sequence: any of the first four in-flight messages.
+      const std::size_t pick = rng.bounded(std::min<std::size_t>(q.size(), 4));
+      const auto [seq, m] = q[pick];
+      q.erase(q.begin() + static_cast<std::ptrdiff_t>(pick));
+      eng.incoming(make_eager(m.src, seq, m.tag,
+                              std::string(reinterpret_cast<const char*>(&m.id), 4)));
+      model.arrive(seq, m);
+    };
+
+    for (std::size_t op = 0; op < kOps; ++op) {
+      const std::uint64_t dice = rng.bounded(100);
+      if (dice < 35) {  // post
+        const std::size_t r = n_reqs++;
+        const int src = rng.bounded(5) == 0 ? kAnySource : static_cast<int>(rng.bounded(kRanks));
+        const int tag = rng.bounded(5) == 0 ? kAnyTag : kTags[rng.bounded(kTags.size())];
+        reqs[r].init_recv(&bufs[r], sizeof(std::uint32_t), src, tag);
+        eng.post(&reqs[r]);
+        model.post(r, src, tag);
+        live.push_back(r);
+      } else if (dice < 65) {  // send
+        const int s = static_cast<int>(rng.bounded(kRanks));
+        if (dead[static_cast<std::size_t>(s)]) continue;
+        wire[static_cast<std::size_t>(s)].push_back(
+            {next_seq[static_cast<std::size_t>(s)]++,
+             {s, kTags[rng.bounded(kTags.size())], next_id++}});
+      } else if (dice < 95) {  // arrival
+        const int s = static_cast<int>(rng.bounded(kRanks));
+        if (!wire[static_cast<std::size_t>(s)].empty()) arrive_one(s);
+      } else if (dice < 99) {  // cancel
+        if (live.empty()) continue;
+        const std::size_t i = rng.bounded(live.size());
+        const std::size_t r = live[i];
+        live.erase(live.begin() + static_cast<std::ptrdiff_t>(i));
+        EXPECT_EQ(reqs[r].cancel(), model.cancel(r)) << "cancel of receive " << r;
+      } else {  // a source dies; its wire goes quiet
+        const int s = static_cast<int>(rng.bounded(kRanks));
+        if (dead[static_cast<std::size_t>(s)]) continue;
+        dead[static_cast<std::size_t>(s)] = true;
+        wire[static_cast<std::size_t>(s)].clear();
+        eng.fail_source(s);
+        model.fail_source(s);
+      }
+      ASSERT_EQ(eng.posted_count(), model.posted_count()) << "op " << op;
+      ASSERT_EQ(eng.unexpected_count(), model.unexpected_count()) << "op " << op;
+    }
+    for (int s = 0; s < kRanks; ++s) {
+      while (!wire[static_cast<std::size_t>(s)].empty()) arrive_one(s);
+    }
+
+    for (std::size_t r = 0; r < n_reqs; ++r) {
+      if (model.got[r] != LinearOracle::kPending) {
+        ASSERT_TRUE(reqs[r].done()) << "receive " << r;
+        EXPECT_EQ(reqs[r].error(), common::ErrorCode::kOk) << "receive " << r;
+        EXPECT_EQ(bufs[r], model.got[r]) << "receive " << r;
+      } else if (model.err[r] != common::ErrorCode::kOk) {
+        ASSERT_TRUE(reqs[r].done()) << "receive " << r;
+        EXPECT_EQ(reqs[r].error(), model.err[r]) << "receive " << r;
+      } else {
+        EXPECT_FALSE(reqs[r].done()) << "receive " << r;
+        reqs[r].cancel();
+      }
+    }
+    EXPECT_EQ(eng.posted_count(), 0u);
+    EXPECT_EQ(eng.unexpected_count(), model.unexpected_count());
+  }
+}
 
 }  // namespace
 }  // namespace fairmpi::match
