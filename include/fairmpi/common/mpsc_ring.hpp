@@ -11,7 +11,7 @@
 //
 // A full ring is the fabric's backpressure signal: try_push() returns false
 // and the sender must progress its own resources before retrying — exactly
-// the "BTL returns EAGAIN" flow in a real MPI stack (see p2p/sender.cpp).
+// the "BTL returns EAGAIN" flow in a real MPI stack (see Rank::eager_send).
 //
 // Static-contract note (DESIGN.md §5e): the single-consumer rule is a
 // *cross-object* contract — the capability protecting the pop side is the

@@ -87,10 +87,13 @@ struct Config {
   /// and every sweep becomes a storm. 0 = unbounded.
   std::size_t reliability_window = 64;
 
-  /// EAGAIN retry budget for one injection (eager_send / control sends):
-  /// spin-then-yield attempts before the op fails with a typed error
-  /// instead of livelocking. Generous: legitimate backpressure resolves in
-  /// a few thousand retries even on one core.
+  /// Wait budget for one eager send: its admission waits and EAGAIN
+  /// retries together, before the send fails typed kSendBudgetExhausted
+  /// instead of livelocking (0 = unbounded). Generous: legitimate
+  /// backpressure resolves in a few thousand retries even on one core.
+  /// Control packets do not use it: a tracked one gets 64 attempts (the
+  /// retransmit sweep owns it after that), an untracked one retries until
+  /// the peer drains.
   std::uint64_t send_retry_limit = 1'000'000;
 
   /// Progress-engine watchdog: sweep cadence and the number of consecutive

@@ -272,6 +272,19 @@ class Rank final : public progress::PacketSink,
   /// rendezvous transfers, report one typed error.
   void on_peer_dead(int peer);
 
+  // --- send path (Algorithm 1, SEND) ---
+  /// One eager send: admit it (overload caps, reliability window), ticket
+  /// the sequence number, then inject through the calling thread's
+  /// instance, progressing and retrying while the destination ring is
+  /// full. Completes `req` before returning — normally (buffered-send
+  /// semantics) or failed typed when a wait gives up (send budget, peer
+  /// death, cancel, deadline, kShed cap). Returns the outcome: once `req`
+  /// is completed its owner may destroy it, so callers must not read it
+  /// back. A Request::cancel() from another thread is observed by the wait
+  /// loops; the caller keeps `req` alive until this returns.
+  common::ErrorCode eager_send(p2p::CommState& comm, int dst, int tag, const void* buf,
+                               std::size_t n, Request& req, std::uint64_t deadline_ns);
+
   // --- rendezvous protocol (see p2p/rendezvous.hpp) ---
   void rndv_isend(CommId comm, int dst, int tag, const void* buf, std::size_t n,
                   Request& req, std::uint64_t deadline_ns);
@@ -280,15 +293,18 @@ class Rank final : public progress::PacketSink,
   /// Execute deferred protocol sends; called from progress() with no
   /// engine lock held.
   void drain_control();
-  /// Inject one protocol packet, retrying on backpressure (bounded by the
-  /// send budget when reliable; tracked for retransmit unless it is an ack).
+  /// Inject one protocol packet, retrying on backpressure: 64 attempts
+  /// when the packet is tracked for retransmit (the sweep owns recovery
+  /// after that), until the peer drains when it is not.
   void inject_control(int dst, fabric::Packet&& pkt);
 
   // --- reliability layer (see p2p/reliability.hpp) ---
-  /// One injection attempt with no tracking and no backpressure loop: used
-  /// for retransmits, acks and heartbeats, whose loss the protocol already
-  /// absorbs. Steered like data (steer_ctx).
-  bool inject_raw(int dst, fabric::Packet&& pkt);
+  /// One injection attempt through the calling thread's instance
+  /// (CommResourceInstance::inject), steered by steer_ctx. Every outbound
+  /// packet leaves here. On backpressure it returns false and `pkt` is
+  /// intact, so a retry loop can try again; retransmits, acks and
+  /// heartbeats make one attempt, since the protocol absorbs their loss.
+  bool inject_raw(int dst, fabric::Packet& pkt);
   /// Destination context for an engine-built packet to `dst`: its
   /// communicator's steering hint, so acks and rendezvous traffic land
   /// where the peer's thread on that communicator progresses. Heartbeats

@@ -277,7 +277,7 @@ class Fabric {
   /// Inject a packet from stream (src_rank, src_ctx) toward `dst_rank`,
   /// over the cold-start route (tests and single-threaded tools).
   /// Returns false when the stream's lane is out of credits — the caller
-  /// must back off (drop the CRI lock, progress, retry); see p2p/sender.cpp.
+  /// must back off (drop the CRI lock, progress, retry); see Rank::eager_send.
   /// With checksums enabled every packet is stamped here, *before* fault
   /// injection, so in-flight corruption is detectable at the receiver.
   /// Callers must be the stream's serialized producer (the source instance

@@ -1,11 +1,11 @@
 #include <algorithm>
+#include <optional>
 #include <vector>
 
 #include "fairmpi/common/error.hpp"
 #include "fairmpi/common/spinlock.hpp"
 #include "fairmpi/common/timing.hpp"
 #include "fairmpi/core/universe.hpp"
-#include "fairmpi/p2p/sender.hpp"
 
 namespace fairmpi {
 
@@ -39,10 +39,12 @@ Rank::Rank(Universe& uni, int id)
   const Config& cfg = uni.config();
   if (cfg.trace_enabled) tracer_.enable(true);
   if (cfg.reliable) {
+    // lint: allow(hotpath-alloc) ctor: one tracker per rank
     tracker_ = std::make_unique<p2p::ReliabilityTracker>(
         cfg.rto_ns, cfg.rto_max_ns, cfg.max_retries, &uni.retransmit_due_);
   }
   if (cfg.watchdog_interval_ns != kNever) {
+    // lint: allow(hotpath-alloc) ctor: one watchdog per rank
     watchdog_ = std::make_unique<progress::Watchdog>(
         pool_, spc_, tracer_, cfg.watchdog_stall_sweeps, cfg.rndv_stall_ns);
     watchdog_->set_stall_probe(this);
@@ -57,10 +59,13 @@ Rank::Rank(Universe& uni, int id)
     // ranks, which is still growing while this constructor runs — rank r
     // would get a detector with only r cells and note_alive would index
     // past them on the first inbound packet.
+    // lint: allow(hotpath-alloc) ctor: one detector per rank
     ft_ = std::make_unique<ft::FailureDetector>(cfg.num_ranks, id, fp, spc_, tracer_);
     // Scratch sized once: failure propagation must not allocate on the
     // progress path (a poll that confirms nothing touches neither vector).
+    // lint: allow(hotpath-alloc) ctor: detector scratch sized once
     ft_probes_.reserve(static_cast<std::size_t>(cfg.num_ranks));
+    // lint: allow(hotpath-alloc) ctor: detector scratch sized once
     ft_newly_dead_.reserve(static_cast<std::size_t>(cfg.num_ranks));
     if (watchdog_ != nullptr) watchdog_->set_suspect_hint(ft_->suspect_hint());
   }
@@ -88,6 +93,7 @@ void Rank::install_comm(CommId id, std::vector<int> members) {
   FAIRMPI_CHECK(id < comms_.size());
   FAIRMPI_CHECK_MSG(comms_[id].load(std::memory_order_relaxed) == nullptr,
                     "communicator id already installed");
+  // lint: allow(hotpath-alloc) communicator creation, once per communicator
   auto* state = new p2p::CommState(id, uni_->num_ranks(),
                                    uni_->config().allow_overtaking, spc_,
                                    uni_->config().reliable, std::move(members));
@@ -122,8 +128,8 @@ void Rank::isend(CommId comm, int dst, int tag, const void* buf, std::size_t n,
     report_error(common::Error{common::ErrorCode::kPeerFailed, id_, dst, 0});
     return;
   }
+  FAIRMPI_CHECK_MSG(tag >= 0, "negative tags are reserved (wildcards/internal)");
   if (n > uni_->config().eager_limit) {
-    FAIRMPI_CHECK_MSG(tag >= 0, "negative tags are reserved (wildcards/internal)");
     tracer_.record(trace::Event::kRndvRts, static_cast<std::uint32_t>(dst),
                    static_cast<std::uint32_t>(n));
     rndv_isend(comm, dst, tag, buf, n, req, deadline_ns);
@@ -131,28 +137,119 @@ void Rank::isend(CommId comm, int dst, int tag, const void* buf, std::size_t n,
   }
   tracer_.record(trace::Event::kSend, static_cast<std::uint32_t>(dst),
                  static_cast<std::uint32_t>(tag));
-  p2p::SendPolicy policy{
-      tracker_.get(), uni_->config().send_retry_limit,
-      uni_->config().reliability_window,
-      [](void* user) { return static_cast<Rank*>(user)->progress(); }, this};
-  if (ft_ != nullptr) {
-    // Mid-wait escape hatch: a send blocked on this peer's window/ring when
-    // the detector confirms its death fails typed instead of burning the
-    // whole retry budget into a severed link.
-    policy.peer_failed = [](void* user, int peer) {
-      return static_cast<Rank*>(user)->peer_failed(peer);
-    };
-    policy.peer_failed_user = this;
-  }
-  policy.governor = &governor_;
-  policy.deadline_ns = deadline_ns;
   // Outcome comes back by value: completing `req` hands it back to the
   // waiting owner, which may destroy it before we could read failed().
-  const common::ErrorCode ec = p2p::eager_send(cs, pool_, engine_, spc_,
-                                               id_, dst, tag, buf, n, req, policy);
+  const common::ErrorCode ec = eager_send(cs, dst, tag, buf, n, req, deadline_ns);
   if (ec != common::ErrorCode::kOk) {
     report_error(common::Error{ec, id_, dst, 0});
   }
+}
+
+common::ErrorCode Rank::eager_send(p2p::CommState& comm, int dst, int tag, const void* buf,
+                                   std::size_t n, Request& req, std::uint64_t deadline_ns) {
+  req.init_send(deadline_ns);
+  const std::uint64_t retry_limit = uni_->config().send_retry_limit;
+  std::uint64_t attempts = 0;
+  SpinWait waiter;
+
+  // One iteration of either wait loop: charge the retry budget, escape
+  // typed on peer death / external cancel / deadline expiry, otherwise
+  // progress (the full rank's: acks leave through its ack flush, and a
+  // bidirectional flood deadlocks without them) and pause. `tracked`
+  // non-null = the packet is in the reliability table and an abandoned
+  // send must untrack it (a clone a concurrent sweep already re-injected
+  // is at-least-once semantics as usual).
+  const auto wait_tick = [&](const p2p::PacketKey* tracked) -> common::ErrorCode {
+    spc_.add(Counter::kSendBackpressure);
+    common::ErrorCode rc = common::ErrorCode::kOk;
+    if (retry_limit != 0 && ++attempts >= retry_limit) {
+      rc = common::ErrorCode::kSendBudgetExhausted;
+    } else if (peer_failed(dst)) {
+      rc = common::ErrorCode::kPeerFailed;
+      spc_.add(Counter::kFtPeerFailedOps);
+    } else if (req.done()) {
+      rc = req.error();  // another thread settled it: Request::cancel()
+    } else if (deadline_ns != 0 && now_ns() >= deadline_ns) {
+      rc = common::ErrorCode::kDeadlineExceeded;
+    } else {
+      if (progress() == 0) waiter.pause(); else waiter.reset();
+      return rc;
+    }
+    if (tracked != nullptr) tracker_->untrack(*tracked);
+    if (req.fail(rc)) {
+      if (rc == common::ErrorCode::kSendBudgetExhausted) spc_.add(Counter::kReliabilityErrors);
+      if (rc == common::ErrorCode::kDeadlineExceeded) spc_.add(Counter::kDeadlineExceededOps);
+    }
+    return rc;
+  };
+
+  // Admission (DESIGN.md §5h), one loop before the sequence number is
+  // ticketed, so a send refused or abandoned here never leaves a hole in
+  // the peer's ordered stream. The gates: the payload-pool and tracker
+  // caps (kQueue waits, kShed fails the op typed), and the reliability
+  // window, which waits — progressing, so acks keep flowing both ways —
+  // while the unacked backlog is full. An uncapped, unreliable rank pays
+  // two branches.
+  const std::size_t window = uni_->config().reliability_window;
+  const auto shut_gate = [&]() -> std::optional<overload::Policy> {
+    if (governor_.enabled()) {
+      const overload::Limits& lim = governor_.limits();
+      if (lim.pool_cap_bytes != 0 &&
+          governor_.pool_at_cap(fabric::payload_pool_stats().in_use_bytes)) {
+        return lim.pool_policy;
+      }
+      if (tracker_ != nullptr && governor_.tracker_at_cap(tracker_->in_flight())) {
+        return lim.tracker_policy;
+      }
+    }
+    if (tracker_ != nullptr && window != 0 && tracker_->in_flight() >= window) {
+      return overload::Policy::kQueue;
+    }
+    return std::nullopt;
+  };
+  while (const std::optional<overload::Policy> gate = shut_gate()) {
+    if (*gate == overload::Policy::kShed) {
+      req.fail(common::ErrorCode::kLocalOverloaded);
+      return common::ErrorCode::kLocalOverloaded;
+    }
+    const common::ErrorCode rc = wait_tick(nullptr);
+    if (rc != common::ErrorCode::kOk) return rc;
+  }
+
+  // Sequence ticketing happens before resource acquisition, as in OB1. Two
+  // threads that ticket back-to-back can inject in the opposite order (or
+  // into different contexts) — this is where out-of-sequence messages come
+  // from, even with a single instance.
+  fabric::Packet pkt;
+  pkt.hdr.opcode = fabric::Opcode::kEager;
+  pkt.hdr.src_rank = static_cast<std::uint16_t>(id_);
+  pkt.hdr.comm_id = comm.id();
+  pkt.hdr.tag = tag;
+  pkt.hdr.seq = comm.next_seq(dst);
+  pkt.set_payload(buf, n);
+
+  // Track before the first injection attempt so an ack racing back through
+  // a fast peer always finds the entry (reliability.hpp contract). On a
+  // failed attempt the fabric hands the packet back intact, so the tracked
+  // clone and the wire packet never diverge.
+  if (tracker_ != nullptr) tracker_->track(dst, pkt, now_ns());
+  // Destination RX ring full is the fabric's EAGAIN: drop the instance,
+  // progress our own resources (the peer may be blocked on *our* ring in a
+  // bidirectional flood), then retry. The instance and the steering hint
+  // are re-read per attempt, so a reply that lands meanwhile redirects the
+  // retry too.
+  while (!inject_raw(dst, pkt)) {
+    const p2p::PacketKey key = p2p::key_of(dst, pkt.hdr);
+    const common::ErrorCode rc = wait_tick(tracker_ != nullptr ? &key : nullptr);
+    if (rc != common::ErrorCode::kOk) return rc;
+  }
+
+  spc_.add(Counter::kMessagesSent);
+  spc_.add(Counter::kBytesSent, n);
+  // complete() is the last touch: the waiting owner may destroy `req` the
+  // instant done() flips, so the outcome travels via the return value.
+  req.complete();
+  return common::ErrorCode::kOk;
 }
 
 void Rank::irecv(CommId comm, int src, int tag, void* buf, std::size_t capacity,
@@ -272,11 +369,8 @@ int Rank::steer_ctx(int dst, const fabric::WireHeader& hdr) {
                                                    : comm_state(hdr.comm_id).steer(dst);
 }
 
-bool Rank::inject_raw(int dst, fabric::Packet&& pkt) {
-  const int k = pool_.id_for_thread();
-  cri::CommResourceInstance& inst = pool_.instance(k);
-  // Same injection path as eager_send: control traffic (acks,
-  // retransmits) takes the instance lock like data does.
+bool Rank::inject_raw(int dst, fabric::Packet& pkt) {
+  cri::CommResourceInstance& inst = pool_.instance(pool_.id_for_thread());
   return inst.inject(dst, steer_ctx(dst, pkt.hdr), pkt, spc_);
 }
 
@@ -319,7 +413,7 @@ void Rank::flush_acks() {
     ack.hdr.tag = static_cast<std::int32_t>(msg.ack_opcode);
     ack.hdr.seq = msg.seq;
     ack.hdr.imm = msg.remote_cookie;
-    if (!inject_raw(msg.peer, std::move(ack))) {
+    if (!inject_raw(msg.peer, ack)) {
       // Peer's ring is full: requeue and stop — pushing harder only spins.
       LockGuard guard(control_lock_);
       acks_.push_front(msg);
@@ -345,7 +439,7 @@ std::uint64_t Rank::reliability_sweep(std::uint64_t now) {
     // Only a clone that actually reached the wire is charged against the
     // retry budget (confirm applies the backoff); a ring-full failure is
     // the sender's own congestion, not evidence of loss.
-    if (inject_raw(r.dst, std::move(r.pkt))) {
+    if (inject_raw(r.dst, r.pkt)) {
       spc_.add(Counter::kRetransmits);
       tracer_.record(trace::Event::kRetransmit, static_cast<std::uint32_t>(r.dst),
                      key.seq);
@@ -494,7 +588,7 @@ void Rank::send_heartbeat(int dst) {
   hb.hdr.comm_id = kWorldComm;
   // Single attempt, never tracked: a heartbeat lost to backpressure or the
   // fault model is simply re-sent on the next idle round.
-  if (inject_raw(dst, std::move(hb))) {
+  if (inject_raw(dst, hb)) {
     spc_.add(Counter::kFtHeartbeatsSent);
   }
 }

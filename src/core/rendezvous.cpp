@@ -202,6 +202,7 @@ void Rank::inject_control(int dst, Packet&& pkt) {
   // original unbounded loop (the peer always drains eventually).
   constexpr std::uint64_t kTrackedAttempts = 64;
   std::uint64_t attempts = 0;
+  SpinWait waiter;
   for (;;) {
     if (peer_failed(dst)) {
       // Confirmed-dead destination: a full ring on a severed link never
@@ -211,20 +212,13 @@ void Rank::inject_control(int dst, Packet&& pkt) {
       if (tracked) tracker_->untrack(p2p::key_of(dst, pkt.hdr));
       return;
     }
-    const int k = pool_.id_for_thread();
-    cri::CommResourceInstance& inst = pool_.instance(k);
-    const int dst_ctx = steer_ctx(dst, pkt.hdr);
-    bool injected = false;
-    {
-      LockGuard guard(inst.lock());
-      injected = inst.endpoint(dst, dst_ctx).try_send(std::move(pkt));
-      if (injected) inst.stats().note_injection();
-    }
-    if (injected) return;
+    if (inject_raw(dst, pkt)) return;
     spc_.add(Counter::kSendBackpressure);
     if (tracked && ++attempts >= kTrackedAttempts) return;
-    if (tracker_ != nullptr) flush_acks();  // keep our acks flowing meanwhile
-    engine_.progress();
+    // Our own progress step, not progress(): that would re-enter
+    // drain_control. Acks keep flowing meanwhile.
+    if (tracker_ != nullptr) flush_acks();
+    if (engine_.progress() == 0) waiter.pause(); else waiter.reset();
   }
 }
 

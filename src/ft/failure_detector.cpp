@@ -7,6 +7,18 @@ namespace fairmpi::ft {
 
 using spc::Counter;
 
+namespace {
+
+// Time elapsed since `then`, saturated at 0. `now` is read by the caller
+// before the sweep starts, so a concurrent note_alive (or a poll from
+// another thread with a later clock) can store a newer stamp: unsigned
+// subtraction would wrap to ~2^64 and read a live peer as silent.
+std::uint64_t since(std::uint64_t now, std::uint64_t then) noexcept {
+  return now > then ? now - then : 0;
+}
+
+}  // namespace
+
 FailureDetector::FailureDetector(int num_ranks, int self, const FtParams& params,
                                  spc::CounterSet& counters, trace::Tracer& tracer)
     : num_ranks_(num_ranks), self_(self), params_(params), spc_(counters),
@@ -37,7 +49,7 @@ std::uint64_t FailureDetector::poll(std::uint64_t now_ns, std::vector<int>& prob
                                               std::memory_order_relaxed);
       continue;
     }
-    const std::uint64_t silence = now_ns - heard;
+    const std::uint64_t silence = since(now_ns, heard);
 
     if (silence < params_.suspect_ns) {
       if (c.state == PeerState::kSuspect) {
@@ -53,7 +65,7 @@ std::uint64_t FailureDetector::poll(std::uint64_t now_ns, std::vector<int>& prob
       // inbound silence. Receive-gated probing deadlocks symmetric
       // idleness: A's probes keep B's inbound silence low, so B never
       // probes back and A confirms a perfectly live peer dead.
-      if (now_ns - c.last_probe_ns >= params_.heartbeat_ns) {
+      if (since(now_ns, c.last_probe_ns) >= params_.heartbeat_ns) {
         c.last_probe_ns = now_ns;
         probes.push_back(p);
       }
@@ -74,7 +86,7 @@ std::uint64_t FailureDetector::poll(std::uint64_t now_ns, std::vector<int>& prob
     }
 
     // kSuspect: one strike per unanswered probe interval.
-    if (now_ns - c.last_strike_ns < params_.heartbeat_ns) continue;
+    if (since(now_ns, c.last_strike_ns) < params_.heartbeat_ns) continue;
     c.last_strike_ns = now_ns;
     if (++c.strikes < params_.strikes) {
       c.last_probe_ns = now_ns;

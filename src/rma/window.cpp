@@ -2,7 +2,6 @@
 
 #include <cstring>
 
-#include "fairmpi/common/backoff.hpp"
 #include "fairmpi/common/error.hpp"
 #include "fairmpi/common/timing.hpp"
 
@@ -151,7 +150,6 @@ std::uint64_t Window::fetch_add_u64(int target, std::size_t disp, std::uint64_t 
 template <typename DonePredicate>
 void Window::drain_until(DonePredicate done) {
   cri::CriPool& pool = rank_->pool();
-  common::Backoff waiter;
   while (!done()) {
     // Own instance first (Alg. 2's affinity); sweep the others only while
     // it yields nothing. A thread's completions usually sit on the instance
@@ -175,27 +173,16 @@ void Window::drain_until(DonePredicate done) {
       }
       if (completions != 0 || done()) break;
     }
-    if (polled) {
-      waiter.reset();
-      continue;
-    }
-    // Every instance busy. This used to pause silently — a flush that
-    // polled nothing was indistinguishable from one that worked. Record
-    // the miss, back off adaptively, and once the backoff saturates stop
-    // try-locking: block on our own instance (timed, so the wait is
-    // attributed like every other contended acquire) and drain it for
-    // real. Bounded: the hold we are waiting out is a ring pop or an RMA
-    // op, never unbounded user code.
+    if (polled) continue;
+    // Every instance busy: record the miss, then stop try-locking and block
+    // on our own instance (timed, so the wait is attributed like every
+    // other contended acquire) and drain it for real. Bounded: the hold we
+    // are waiting out is a ring pop or an RMA op, never unbounded user code.
     rank_->counters().add(Counter::kRmaFlushAllBusy);
-    if (waiter.saturated()) {
-      cri::CommResourceInstance& inst = pool.instance(own);
-      inst.lock_timed(rank_->counters());
-      LockGuard adopt(inst.lock(), adopt_lock);
-      rank_->engine().progress_instance_locked(inst);
-      waiter.reset();
-      continue;
-    }
-    waiter.pause();
+    cri::CommResourceInstance& inst = pool.instance(own);
+    inst.lock_timed(rank_->counters());
+    LockGuard adopt(inst.lock(), adopt_lock);
+    rank_->engine().progress_instance_locked(inst);
   }
 }
 

@@ -3,6 +3,8 @@
 // (FIFO per stream, wildcards, truncation, unexpected arrival).
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <chrono>
 #include <cstring>
 #include <numeric>
 #include <string>
@@ -48,6 +50,46 @@ TEST(Rendezvous, LargeMessageRoundTrip) {
   // Counted once per message, not per fragment.
   EXPECT_EQ(uni.rank(0).counters().get(Counter::kMessagesSent), 1u);
   EXPECT_EQ(uni.rank(1).counters().get(Counter::kMessagesReceived), 1u);
+}
+
+TEST(Rendezvous, RtsInjectionWaitIsTimedLikeData) {
+  // The RTS leaves through inject_control, which must take the instance
+  // lock the way eager data does: a holder pins rank 0's only instance
+  // while rank 0 starts a rendezvous isend, and the wait must land in
+  // kInstanceLockWaitNs. The sender can lose the race to the lock and find
+  // it free (a descheduled thread on a busy host), so each attempt holds
+  // longer, until a wait is recorded.
+  Universe uni(small_eager_cfg());
+  cri::CommResourceInstance& inst = uni.rank(0).pool().instance(0);
+  const auto data = pattern(2048);
+  for (int attempt = 1; attempt <= 20; ++attempt) {
+    std::atomic<bool> held{false};
+    std::atomic<bool> entering{false};
+    std::thread holder([&] {
+      LockGuard pin(inst.lock());
+      held.store(true, std::memory_order_release);
+      while (!entering.load(std::memory_order_acquire)) {
+      }
+      std::this_thread::sleep_for(std::chrono::milliseconds(3 * attempt));
+    });
+    while (!held.load(std::memory_order_acquire)) {
+    }
+    std::vector<std::uint8_t> got(data.size());
+    Request sreq, rreq;
+    uni.rank(1).irecv(kWorldComm, 0, attempt, got.data(), got.size(), rreq);
+    entering.store(true, std::memory_order_release);
+    uni.rank(0).isend(kWorldComm, 1, attempt, data.data(), data.size(), sreq);
+    holder.join();
+    const std::uint64_t until = now_ns() + 5'000'000'000ULL;
+    while (!sreq.done() || !rreq.done()) {
+      ASSERT_LT(now_ns(), until) << "transfer did not complete";
+      uni.rank(0).progress();
+      uni.rank(1).progress();
+    }
+    EXPECT_EQ(got, data);
+    if (uni.rank(0).counters().get(Counter::kInstanceLockWaitNs) > 0) return;
+  }
+  ADD_FAILURE() << "no contended RTS injection recorded a lock wait";
 }
 
 TEST(Rendezvous, ExactEagerLimitStaysEager) {

@@ -105,6 +105,25 @@ TEST(Ft, IdlePeersStayAliveViaHeartbeats) {
   EXPECT_GT(total.get(Counter::kFtHeartbeatsReceived), 0u);
 }
 
+TEST(Ft, NoteAliveNewerThanPollNowIsNotSilence) {
+  // poll() gets a `now` read before its sweep; a packet noted in between
+  // carries a later stamp. That is fresh contact, not 2^64 ns of silence.
+  spc::CounterSet counters;
+  trace::Tracer tracer;
+  ft::FtParams fp;
+  fp.heartbeat_ns = 1'000;
+  fp.suspect_ns = 5'000;
+  fp.strikes = 1;
+  ft::FailureDetector det(2, 0, fp, counters, tracer);
+  const std::uint64_t t = 1'000'000'000ULL;
+  std::vector<int> probes, dead;
+  det.note_alive(1, t + 10);
+  det.poll(t + 5, probes, dead);
+  EXPECT_EQ(det.state(1), ft::PeerState::kAlive);
+  EXPECT_EQ(det.suspects(), 0u);
+  EXPECT_TRUE(dead.empty());
+}
+
 TEST(Ft, KilledRankOpsFailTypedWithoutHanging) {
   Universe uni(ft_config(3));
   ErrorCapture cap0;

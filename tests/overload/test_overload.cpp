@@ -470,6 +470,26 @@ TEST(Deadline, BlockedSendExpiresTyped) {
   uni.rank(0).wait(b);
   EXPECT_EQ(b.error(), ErrorCode::kDeadlineExceeded);
   EXPECT_GE(uni.rank(0).counters().snapshot().get(Counter::kDeadlineExceededOps), 1u);
+
+  // The abandoned send consumed no sequence number: once rank 1 takes `a`
+  // and its ack opens the window, the next send on the same stream is the
+  // one rank 1 expects, instead of parking behind a hole until its
+  // receive expires.
+  char got_a = 0;
+  Request ra;
+  uni.rank(1).irecv(kWorldComm, 0, 1, &got_a, 1, ra);
+  ASSERT_TRUE(drive(uni, {0, 1}, [&] {
+    return ra.done() && uni.rank(0).reliability()->in_flight() == 0;
+  }));
+  EXPECT_EQ(ra.error(), ErrorCode::kOk);
+  char next = 'n', got_next = 0;
+  Request snext, rnext;
+  // Deadline past one retransmit (rto 2 s), so a lossy fabric still delivers.
+  uni.rank(1).irecv(kWorldComm, 0, 1, &got_next, 1, rnext, now_ns() + 4'000'000'000ULL);
+  uni.rank(0).isend(kWorldComm, 1, 1, &next, 1, snext);
+  ASSERT_TRUE(drive(uni, {0, 1}, [&] { return rnext.done(); }));
+  EXPECT_EQ(rnext.error(), ErrorCode::kOk);
+  EXPECT_EQ(got_next, 'n');
 }
 
 TEST(Deadline, RendezvousRaceSettlesExactlyOnce) {

@@ -124,7 +124,9 @@ NO_TSA_RE = re.compile(r"\bFAIRMPI_NO_TSA\b")
 HOTPATH_FILES = {
     "src/match/match_engine.cpp",
     "src/progress/progress.cpp",
-    "src/p2p/sender.cpp",
+    # The send path (Rank::eager_send) and the rank's packet dispatch; the
+    # rank's setup and its cold settle paths carry allows.
+    "src/core/rank.cpp",
     "src/fabric/wire.cpp",
     "include/fairmpi/common/slab_pool.hpp",
     "include/fairmpi/common/mpsc_ring.hpp",
@@ -141,11 +143,10 @@ HOTPATH_FILES = {
     "src/obs/contention.cpp",
     "include/fairmpi/obs/contention.hpp",
     "include/fairmpi/obs/utilization.hpp",
-    # The injection path (DESIGN.md §5f): the per-source RX lanes, the
-    # retry backoff, and the inject logic itself all run per-packet.
+    # The injection path (DESIGN.md §5f): the per-source RX lanes and the
+    # inject logic itself run per-packet.
     # Everything here must be setup-time (ctor, first-bind) or annotated.
     "include/fairmpi/common/spsc_ring.hpp",
-    "include/fairmpi/common/backoff.hpp",
     "include/fairmpi/fabric/wire.hpp",
     "include/fairmpi/cri/cri.hpp",
     "src/cri/cri.cpp",
