@@ -1,25 +1,18 @@
 // Bounded lock-free ring buffer (Vyukov-style bounded queue), multi-producer
 // single-consumer.
 //
-// This is the RX ring of a simulated network context: remote sender threads
-// are the producers, the progressing thread is the consumer. The engine
-// serializes consumers externally — every drain happens under the owning
-// CRI's lock (progress.cpp) — so the pop side exploits single-consumer
-// ownership: head_ is advanced with a plain store instead of a CAS, and
-// try_pop_n() amortizes the head update over a whole batch. The push side
-// stays fully MPMC-safe.
+// This is the command queue of offload::OffloadDriver: application threads
+// are the producers, the driver's one communication thread is the consumer.
+// The pop side exploits that single-consumer ownership: head_ is advanced
+// with a plain store instead of a CAS, and try_pop_n() amortizes the head
+// update over a whole batch. The push side stays fully MPMC-safe.
 //
-// A full ring is the fabric's backpressure signal: try_push() returns false
-// and the sender must progress its own resources before retrying — exactly
-// the "BTL returns EAGAIN" flow in a real MPI stack (see Rank::eager_send).
+// A full ring is backpressure: try_push() returns false and the producer
+// must wait and retry.
 //
-// Static-contract note (DESIGN.md §5e): the single-consumer rule is a
-// *cross-object* contract — the capability protecting the pop side is the
-// owning CRI's lock, which lives in a different object than the ring.
-// Clang's thread-safety attributes cannot name another object's member
-// from here, so this file carries no GUARDED_BY annotations; the contract
-// is enforced one level up, where ProgressEngine::drain_locked() is
-// FAIRMPI_REQUIRES(inst.lock()) and every caller is checked against it.
+// The engine's own queues are not MPSC: an RX lane and a CQ each have one
+// producer at a time, serialized by a CRI lock, so they are SpscRings
+// (spsc_ring.hpp, fabric/fabric.hpp).
 #pragma once
 
 #include <atomic>

@@ -4,10 +4,12 @@
 // This is the per-source lane of a network context's RX queue
 // (fabric/fabric.hpp): exactly one producer — the thread currently holding
 // the *source* CRI instance's lock — and one consumer — the thread holding
-// the *destination* instance's lock during a drain. Neither side performs an
-// atomic read-modify-write: the whole point of the lane decomposition is
-// that injection costs two plain loads and two stores, where the shared
-// MPSC ring paid a ~10ns locked CAS per packet (DESIGN.md §5f).
+// the *destination* instance's lock during a drain. It is also a context's
+// completion queue, whose producer and consumer both hold that context's
+// instance lock. Neither side performs an atomic read-modify-write: the
+// whole point of the lane decomposition is that injection costs two plain
+// loads and two stores, where the shared MPSC ring paid a ~10ns locked CAS
+// per packet (DESIGN.md §5f).
 //
 // Memory ordering (producer):
 //   [S1] tail_.load(relaxed)        — own cursor, nobody else writes it

@@ -87,7 +87,7 @@ class alignas(kCacheLine) CommResourceInstance {
   /// stall watchdog reads the context's lock-free counters while the
   /// instance is busy (that race is its design, watchdog.cpp), and ring
   /// consumption is governed by the single-consumer contract in
-  /// mpsc_ring.hpp rather than a capability the analysis can express.
+  /// spsc_ring.hpp rather than a capability the analysis can express.
   fabric::NetworkContext& context() noexcept { return *ctx_; }
 
   /// Injection endpoint toward context `peer_ctx` of `peer`; any value

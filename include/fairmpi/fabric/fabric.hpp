@@ -47,7 +47,6 @@
 
 #include "fairmpi/common/align.hpp"
 #include "fairmpi/common/error.hpp"
-#include "fairmpi/common/mpsc_ring.hpp"
 #include "fairmpi/common/spsc_ring.hpp"
 #include "fairmpi/fabric/faults.hpp"
 #include "fairmpi/fabric/wire.hpp"
@@ -64,7 +63,8 @@ struct FabricParams {
   /// sequence arrivals and -30% incast message rate at 512 vs ~300 at
   /// 4096). The footprint now scales with lane count (lanes x entries x
   /// sizeof(Packet)) of the lanes that carried traffic; memory-constrained
-  /// runs shrink it via FAIRMPI_RX_RING_ENTRIES.
+  /// runs shrink it in their Config, or with FAIRMPI_RX_RING_ENTRIES through
+  /// config_from_env (a design knob: Universe ignores it in the environment).
   std::size_t rx_ring_entries = 4096;
   std::size_t cq_entries = 4096;       ///< per-context completion queue
 };
@@ -79,13 +79,13 @@ struct RxLayout {
 /// cold-start route (Fabric::route).
 inline constexpr int kStaticRoute = -1;
 
-/// A completion event on a context's CQ. Two-sided eager sends complete at
-/// injection (buffered semantics); the CQ carries completions for tracked
-/// operations — RMA puts/gets and rendezvous fragments.
+/// A completion event on a context's CQ. Two-sided sends complete at
+/// injection (eager, buffered semantics) or through the rendezvous protocol's
+/// packets; the CQ carries the completions of one-sided operations.
 struct Completion {
-  enum class Kind : std::uint8_t { kNone = 0, kRmaDone, kSendDone };
+  enum class Kind : std::uint8_t { kNone = 0, kRmaDone };
   Kind kind = Kind::kNone;
-  void* cookie = nullptr;  ///< kRmaDone: rma::Window*; kSendDone: p2p request
+  void* cookie = nullptr;  ///< kRmaDone: the initiator's pending-op counter
 };
 
 /// A context's receive queue: SPSC lanes indexed by source stream, drained
@@ -193,7 +193,10 @@ class RxQueue {
 
 /// One network context: the unit of resource replication inside a CRI.
 /// Owns an RX queue (per-source SPSC lanes, locally-locked consumer) and a
-/// CQ.
+/// CQ. The CQ is one SpscRing: its producer (an RMA op posting a
+/// completion) and its consumer (a drain, or the overrun harvest in
+/// rma::Window::post_completion) both run under the owning instance's lock,
+/// so that lock serializes each side as it does an RX lane's.
 class NetworkContext {
  public:
   NetworkContext(int rank, int index, const RxLayout& layout, const FabricParams& params)
@@ -206,7 +209,7 @@ class NetworkContext {
   int index() const noexcept { return index_; }
 
   RxQueue& rx() noexcept { return rx_; }
-  MpscRing<Completion>& cq() noexcept { return cq_; }
+  SpscRing<Completion>& cq() noexcept { return cq_; }
 
   /// Count of packets ever delivered into this context (diagnostics).
   /// Derived from the lanes' push cursors — every successful push IS a
@@ -218,7 +221,7 @@ class NetworkContext {
   const int rank_;
   const int index_;
   RxQueue rx_;
-  MpscRing<Completion> cq_;
+  SpscRing<Completion> cq_;
 };
 
 /// A rank's NIC: the bundle of contexts the CRI pool hands out.

@@ -119,13 +119,6 @@ class FailureDetector {
   /// Lock-free; the watchdog reads this to attribute a stall escalation.
   const std::atomic<int>* suspect_hint() const noexcept { return &suspect_hint_; }
 
-  std::uint64_t suspects() const noexcept {
-    return suspects_.load(std::memory_order_relaxed);
-  }
-  std::uint64_t deaths() const noexcept {
-    return deaths_.load(std::memory_order_relaxed);
-  }
-
   /// Copy of the detection-latency histogram (see kLatencyBuckets).
   std::array<std::uint64_t, kLatencyBuckets> latency_hist() const noexcept {
     std::array<std::uint64_t, kLatencyBuckets> out{};
@@ -164,8 +157,6 @@ class FailureDetector {
   mutable RankedLock<Spinlock> lock_{debug::LockRank::kFtDetector, "ft.detector"};
   std::vector<Cold> cold_ FAIRMPI_GUARDED_BY(lock_);
   std::atomic<int> suspect_hint_{-1};
-  std::atomic<std::uint64_t> suspects_{0};
-  std::atomic<std::uint64_t> deaths_{0};
   std::array<std::atomic<std::uint64_t>, kLatencyBuckets> lat_hist_{};
 };
 

@@ -6,7 +6,7 @@
 // pending far past its expected lifetime (orphaned CRI on the peer, lost
 // protocol packet past retry budget). The watchdog detects both from
 // existing lock-free instrumentation — NetworkContext::delivered() and
-// MpscRing::size_approx() — so the packet hot path carries zero extra
+// RxQueue::size_approx() — so the packet hot path carries zero extra
 // accounting.
 //
 // Escalation ladder per stalled object, once per stall episode:
@@ -76,11 +76,6 @@ class Watchdog {
   /// Config::watchdog_interval_ns.
   std::size_t poll(std::uint64_t now_ns);
 
-  /// Stall episodes escalated so far (test hook).
-  std::uint64_t stalls_flagged() const noexcept {
-    return stalls_.load(std::memory_order_relaxed);
-  }
-
  private:
   struct InstanceState {
     std::uint64_t last_consumed = 0;
@@ -102,7 +97,6 @@ class Watchdog {
 
   RankedLock<Spinlock> lock_{debug::LockRank::kWatchdog, "progress.watchdog"};
   std::vector<InstanceState> instances_ FAIRMPI_GUARDED_BY(lock_);
-  std::atomic<std::uint64_t> stalls_{0};
 };
 
 }  // namespace fairmpi::progress

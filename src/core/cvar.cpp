@@ -1,9 +1,16 @@
 #include "fairmpi/core/cvar.hpp"
 
+#include <algorithm>
+#include <array>
+#include <cctype>
 #include <charconv>
 #include <cstdlib>
 #include <cstring>
+#include <iomanip>
+#include <limits>
 #include <sstream>
+#include <type_traits>
+#include <variant>
 
 #include "fairmpi/common/error.hpp"
 
@@ -11,327 +18,212 @@ namespace fairmpi {
 
 namespace {
 
-bool parse_u64(std::string_view text, std::uint64_t& out) {
-  const char* begin = text.data();
-  const char* end = begin + text.size();
-  auto [ptr, ec] = std::from_chars(begin, end, out);
-  return ec == std::errc{} && ptr == end;
+template <typename T>
+using Ref = T& (*)(Config&);
+
+/// The Config field a row binds; the field's type decides how the value
+/// parses and prints. std::uint64_t and std::size_t are one type on LP64
+/// Linux but not on every target, so both unsigned 64-bit types are listed.
+using Field = std::variant<Ref<unsigned long>, Ref<unsigned long long>, Ref<int>, Ref<bool>,
+                           Ref<double>, Ref<overload::Policy>, Ref<cri::Assignment>,
+                           Ref<progress::ProgressMode>>;
+
+struct Row {
+  std::string_view name;
+  CvarScope scope;
+  Field field;
+  /// Integer rows only: the accepted range, further capped by the field's
+  /// type (an int field never takes a value above INT_MAX).
+  std::uint64_t min = 0;
+  std::uint64_t max = std::numeric_limits<std::uint64_t>::max();
+};
+
+constexpr CvarScope kDesign = CvarScope::kDesign;
+constexpr CvarScope kOverride = CvarScope::kOverride;
+
+// The one list of control variables, in list_cvars order.
+// clang-format off
+constexpr Row kRows[] = {
+    {"num_instances", kDesign, +[](Config& c) -> auto& { return c.num_instances; }, 1},
+    {"assignment", kDesign, +[](Config& c) -> auto& { return c.assignment; }},
+    {"progress", kDesign, +[](Config& c) -> auto& { return c.progress_mode; }},
+    {"allow_overtaking", kDesign, +[](Config& c) -> auto& { return c.allow_overtaking; }},
+    {"progress_batch", kDesign, +[](Config& c) -> auto& { return c.progress_batch; }, 1},
+    {"eager_limit", kDesign, +[](Config& c) -> auto& { return c.eager_limit; }},
+    {"rndv_frag_bytes", kDesign, +[](Config& c) -> auto& { return c.rndv_frag_bytes; }, 1},
+    {"rx_ring_entries", kDesign, +[](Config& c) -> auto& { return c.fabric.rx_ring_entries; }, 2},
+    {"cq_entries", kDesign, +[](Config& c) -> auto& { return c.fabric.cq_entries; }, 2},
+    {"max_communicators", kDesign, +[](Config& c) -> auto& { return c.max_communicators; }, 1},
+    {"fault_drop", kOverride, +[](Config& c) -> auto& { return c.faults.drop; }},
+    {"fault_dup", kOverride, +[](Config& c) -> auto& { return c.faults.dup; }},
+    {"fault_delay", kOverride, +[](Config& c) -> auto& { return c.faults.delay; }},
+    {"fault_reorder", kOverride, +[](Config& c) -> auto& { return c.faults.reorder; }},
+    {"fault_corrupt", kOverride, +[](Config& c) -> auto& { return c.faults.corrupt; }},
+    {"fault_seed", kOverride, +[](Config& c) -> auto& { return c.faults.seed; }},
+    {"reliable", kOverride, +[](Config& c) -> auto& { return c.reliable; }},
+    {"rto_ns", kOverride, +[](Config& c) -> auto& { return c.rto_ns; }, 1},
+    {"rto_max_ns", kOverride, +[](Config& c) -> auto& { return c.rto_max_ns; }, 1},
+    // 0 is the fail-fast mode: the first unacked rto expiry fails the send
+    // typed instead of retransmitting.
+    {"max_retries", kOverride, +[](Config& c) -> auto& { return c.max_retries; }},
+    {"reliability_window", kOverride, +[](Config& c) -> auto& { return c.reliability_window; }},
+    {"send_retry_limit", kOverride, +[](Config& c) -> auto& { return c.send_retry_limit; }, 1},
+    {"watchdog_interval_ns", kOverride, +[](Config& c) -> auto& { return c.watchdog_interval_ns; }},
+    {"watchdog_stall_sweeps", kOverride, +[](Config& c) -> auto& { return c.watchdog_stall_sweeps; }, 1},
+    {"rndv_stall_ns", kOverride, +[](Config& c) -> auto& { return c.rndv_stall_ns; }, 1},
+    {"trace", kOverride, +[](Config& c) -> auto& { return c.trace_enabled; }},
+    {"trace_entries", kOverride, +[](Config& c) -> auto& { return c.trace_entries; }},
+    {"obs", kOverride, +[](Config& c) -> auto& { return c.obs_enabled; }},
+    {"ft", kOverride, +[](Config& c) -> auto& { return c.ft_enabled; }},
+    {"ft_heartbeat_ns", kOverride, +[](Config& c) -> auto& { return c.ft_heartbeat_ns; }, 1},
+    {"ft_suspect_ns", kOverride, +[](Config& c) -> auto& { return c.ft_suspect_ns; }, 1},
+    {"ft_strikes", kOverride, +[](Config& c) -> auto& { return c.ft_strikes; }, 1},
+    {"unexpected_cap", kOverride, +[](Config& c) -> auto& { return c.unexpected_cap; }},
+    {"unexpected_policy", kOverride, +[](Config& c) -> auto& { return c.unexpected_policy; }},
+    {"payload_pool_cap", kOverride, +[](Config& c) -> auto& { return c.payload_pool_cap_bytes; }},
+    {"payload_pool_policy", kOverride, +[](Config& c) -> auto& { return c.payload_pool_policy; }},
+    {"tracker_cap", kOverride, +[](Config& c) -> auto& { return c.tracker_cap; }},
+    {"tracker_policy", kOverride, +[](Config& c) -> auto& { return c.tracker_policy; }},
+    {"overload_high_pct", kOverride, +[](Config& c) -> auto& { return c.overload_high_pct; }, 1, 100},
+    {"overload_low_pct", kOverride, +[](Config& c) -> auto& { return c.overload_low_pct; }, 0, 100},
+    {"op_deadline_ns", kOverride, +[](Config& c) -> auto& { return c.op_deadline_ns; }},
+    {"coll_segment_bytes", kDesign, +[](Config& c) -> auto& { return c.coll_segment_bytes; }},
+    {"coll_rsag_min_bytes", kDesign, +[](Config& c) -> auto& { return c.coll_rsag_min_bytes; }},
+};
+// clang-format on
+
+constexpr std::size_t kMaxNameLen = 32;
+static_assert(std::ranges::all_of(kRows,
+                                  [](const Row& r) { return r.name.size() <= kMaxNameLen; }));
+
+// An enum row accepts the names its values print as.
+const char* value_name(overload::Policy v) { return overload::policy_name(v); }
+const char* value_name(cri::Assignment v) { return cri::assignment_name(v); }
+const char* value_name(progress::ProgressMode v) { return progress::progress_mode_name(v); }
+constexpr std::array<overload::Policy, 2> values_of(overload::Policy) {
+  return {overload::Policy::kQueue, overload::Policy::kShed};
+}
+constexpr std::array<cri::Assignment, 2> values_of(cri::Assignment) {
+  return {cri::Assignment::kRoundRobin, cri::Assignment::kDedicated};
+}
+constexpr std::array<progress::ProgressMode, 2> values_of(progress::ProgressMode) {
+  return {progress::ProgressMode::kSerial, progress::ProgressMode::kConcurrent};
 }
 
-bool parse_prob(std::string_view text, double& out) {
-  // from_chars<double> is available on the toolchain, but strtod keeps the
-  // parse locale-independent enough for "0.01"-style probabilities.
-  char buf[64];
-  if (text.empty() || text.size() >= sizeof buf) return false;
-  std::memcpy(buf, text.data(), text.size());
-  buf[text.size()] = '\0';
-  char* end = nullptr;
-  const double v = std::strtod(buf, &end);
-  if (end != buf + text.size()) return false;
-  if (!(v >= 0.0 && v <= 1.0)) return false;
-  out = v;
-  return true;
+/// Parse `text` into `out`; `out` is written only on success.
+template <typename T>
+bool parse(std::string_view text, const Row& row, T& out) {
+  if constexpr (std::is_same_v<T, bool>) {
+    const bool no = text == "0" || text == "false" || text == "off";
+    if (!no && text != "1" && text != "true" && text != "on") return false;
+    out = !no;
+    return true;
+  } else if constexpr (std::is_same_v<T, double>) {
+    // strtod, not from_chars<double>: "0.01"-style probabilities parse the
+    // same on every toolchain.
+    char buf[64];
+    if (text.empty() || text.size() >= sizeof buf) return false;
+    std::memcpy(buf, text.data(), text.size());
+    buf[text.size()] = '\0';
+    char* end = nullptr;
+    const double v = std::strtod(buf, &end);
+    if (end != buf + text.size() || !(v >= 0.0 && v <= 1.0)) return false;
+    out = v;
+    return true;
+  } else if constexpr (std::is_enum_v<T>) {
+    if constexpr (std::is_same_v<T, cri::Assignment>) {
+      if (text == "rr") text = value_name(cri::Assignment::kRoundRobin);
+    }
+    for (const T v : values_of(T{})) {
+      if (text != value_name(v)) continue;
+      out = v;
+      return true;
+    }
+    return false;
+  } else {
+    std::uint64_t u = 0;
+    const auto [ptr, ec] = std::from_chars(text.data(), text.data() + text.size(), u);
+    if (ec != std::errc{} || ptr != text.data() + text.size()) return false;
+    const auto type_max = static_cast<std::uint64_t>(std::numeric_limits<T>::max());
+    if (u < row.min || u > row.max || u > type_max) return false;
+    out = static_cast<T>(u);
+    return true;
+  }
 }
 
-bool parse_policy(std::string_view text, overload::Policy& out) {
-  if (text == "queue") {
-    out = overload::Policy::kQueue;
-    return true;
+template <typename T>
+void print(std::ostream& os, T v) {
+  if constexpr (std::is_same_v<T, bool>) {
+    os << (v ? "true" : "false");
+  } else if constexpr (std::is_enum_v<T>) {
+    os << value_name(v);
+  } else {
+    os << v;
   }
-  if (text == "shed") {
-    out = overload::Policy::kShed;
-    return true;
-  }
-  return false;
 }
 
-bool parse_bool(std::string_view text, bool& out) {
-  if (text == "0" || text == "false" || text == "off") {
-    out = false;
-    return true;
+template <typename T>
+constexpr CvarType type_of(Ref<T>) {
+  if constexpr (std::is_same_v<T, bool>) return CvarType::kBool;
+  if constexpr (std::is_same_v<T, double>) return CvarType::kProbability;
+  if constexpr (std::is_enum_v<T>) return CvarType::kEnum;
+  if constexpr (std::is_signed_v<T>) return CvarType::kInt;
+  return CvarType::kUnsigned;
+}
+
+bool apply_row(const Row& row, Config& cfg, std::string_view value) {
+  return std::visit([&](auto ref) { return parse(value, row, ref(cfg)); }, row.field);
+}
+
+Config from_env(Config cfg, bool overrides_only) {
+  for (const Row& row : kRows) {
+    if (overrides_only && row.scope != CvarScope::kOverride) continue;
+    char env_name[sizeof "FAIRMPI_" + kMaxNameLen] = "FAIRMPI_";
+    char* p = env_name + sizeof "FAIRMPI_" - 1;
+    for (const char ch : row.name) {
+      *p++ = static_cast<char>(std::toupper(static_cast<unsigned char>(ch)));
+    }
+    *p = '\0';
+    const char* value = std::getenv(env_name);
+    if (value == nullptr) continue;
+    FAIRMPI_CHECK_MSG(apply_row(row, cfg, value), "malformed FAIRMPI_* variable");
   }
-  if (text == "1" || text == "true" || text == "on") {
-    out = true;
-    return true;
-  }
-  return false;
+  return cfg;
 }
 
 }  // namespace
 
 bool apply_cvar(Config& cfg, std::string_view name, std::string_view value) {
-  std::uint64_t u = 0;
-  if (name == "num_instances") {
-    if (!parse_u64(value, u) || u < 1) return false;
-    cfg.num_instances = static_cast<int>(u);
-    return true;
-  }
-  if (name == "assignment") {
-    if (value == "rr" || value == "round-robin") {
-      cfg.assignment = cri::Assignment::kRoundRobin;
-      return true;
-    }
-    if (value == "dedicated") {
-      cfg.assignment = cri::Assignment::kDedicated;
-      return true;
-    }
-    return false;
-  }
-  if (name == "progress") {
-    if (value == "serial") {
-      cfg.progress_mode = progress::ProgressMode::kSerial;
-      return true;
-    }
-    if (value == "concurrent") {
-      cfg.progress_mode = progress::ProgressMode::kConcurrent;
-      return true;
-    }
-    return false;
-  }
-  if (name == "allow_overtaking") {
-    return parse_bool(value, cfg.allow_overtaking);
-  }
-  if (name == "progress_batch") {
-    if (!parse_u64(value, u) || u < 1) return false;
-    cfg.progress_batch = static_cast<int>(u);
-    return true;
-  }
-  if (name == "eager_limit") {
-    if (!parse_u64(value, u)) return false;
-    cfg.eager_limit = static_cast<std::size_t>(u);
-    return true;
-  }
-  if (name == "rndv_frag_bytes") {
-    if (!parse_u64(value, u) || u < 1) return false;
-    cfg.rndv_frag_bytes = static_cast<std::size_t>(u);
-    return true;
-  }
-  if (name == "rx_ring_entries") {
-    if (!parse_u64(value, u) || u < 2) return false;
-    cfg.fabric.rx_ring_entries = static_cast<std::size_t>(u);
-    return true;
-  }
-  if (name == "cq_entries") {
-    if (!parse_u64(value, u) || u < 2) return false;
-    cfg.fabric.cq_entries = static_cast<std::size_t>(u);
-    return true;
-  }
-  if (name == "max_communicators") {
-    if (!parse_u64(value, u) || u < 1) return false;
-    cfg.max_communicators = static_cast<int>(u);
-    return true;
-  }
-  if (name == "fault_drop") return parse_prob(value, cfg.faults.drop);
-  if (name == "fault_dup") return parse_prob(value, cfg.faults.dup);
-  if (name == "fault_delay") return parse_prob(value, cfg.faults.delay);
-  if (name == "fault_reorder") return parse_prob(value, cfg.faults.reorder);
-  if (name == "fault_corrupt") return parse_prob(value, cfg.faults.corrupt);
-  if (name == "fault_seed") {
-    if (!parse_u64(value, u)) return false;
-    cfg.faults.seed = u;
-    return true;
-  }
-  if (name == "reliable") {
-    return parse_bool(value, cfg.reliable);
-  }
-  if (name == "rto_ns") {
-    if (!parse_u64(value, u) || u < 1) return false;
-    cfg.rto_ns = u;
-    return true;
-  }
-  if (name == "rto_max_ns") {
-    if (!parse_u64(value, u) || u < 1) return false;
-    cfg.rto_max_ns = u;
-    return true;
-  }
-  if (name == "max_retries") {
-    // 0 is the fail-fast mode: the first unacked rto expiry fails the send
-    // typed instead of retransmitting.
-    if (!parse_u64(value, u)) return false;
-    cfg.max_retries = static_cast<int>(u);
-    return true;
-  }
-  if (name == "reliability_window") {
-    if (!parse_u64(value, u)) return false;
-    cfg.reliability_window = static_cast<std::size_t>(u);
-    return true;
-  }
-  if (name == "send_retry_limit") {
-    if (!parse_u64(value, u) || u < 1) return false;
-    cfg.send_retry_limit = u;
-    return true;
-  }
-  if (name == "watchdog_interval_ns") {
-    if (!parse_u64(value, u)) return false;
-    cfg.watchdog_interval_ns = u;
-    return true;
-  }
-  if (name == "watchdog_stall_sweeps") {
-    if (!parse_u64(value, u) || u < 1) return false;
-    cfg.watchdog_stall_sweeps = static_cast<int>(u);
-    return true;
-  }
-  if (name == "rndv_stall_ns") {
-    if (!parse_u64(value, u) || u < 1) return false;
-    cfg.rndv_stall_ns = u;
-    return true;
-  }
-  if (name == "trace") {
-    return parse_bool(value, cfg.trace_enabled);
-  }
-  if (name == "trace_entries") {
-    if (!parse_u64(value, u)) return false;
-    cfg.trace_entries = static_cast<std::size_t>(u);
-    return true;
-  }
-  if (name == "obs") {
-    return parse_bool(value, cfg.obs_enabled);
-  }
-  if (name == "ft") {
-    return parse_bool(value, cfg.ft_enabled);
-  }
-  if (name == "ft_heartbeat_ns") {
-    if (!parse_u64(value, u) || u < 1) return false;
-    cfg.ft_heartbeat_ns = u;
-    return true;
-  }
-  if (name == "ft_suspect_ns") {
-    if (!parse_u64(value, u) || u < 1) return false;
-    cfg.ft_suspect_ns = u;
-    return true;
-  }
-  if (name == "ft_strikes") {
-    if (!parse_u64(value, u) || u < 1) return false;
-    cfg.ft_strikes = static_cast<int>(u);
-    return true;
-  }
-  if (name == "unexpected_cap") {
-    if (!parse_u64(value, u)) return false;
-    cfg.unexpected_cap = static_cast<std::size_t>(u);
-    return true;
-  }
-  if (name == "unexpected_policy") return parse_policy(value, cfg.unexpected_policy);
-  if (name == "payload_pool_cap") {
-    if (!parse_u64(value, u)) return false;
-    cfg.payload_pool_cap_bytes = u;
-    return true;
-  }
-  if (name == "payload_pool_policy") {
-    return parse_policy(value, cfg.payload_pool_policy);
-  }
-  if (name == "tracker_cap") {
-    if (!parse_u64(value, u)) return false;
-    cfg.tracker_cap = static_cast<std::size_t>(u);
-    return true;
-  }
-  if (name == "tracker_policy") return parse_policy(value, cfg.tracker_policy);
-  if (name == "overload_high_pct") {
-    if (!parse_u64(value, u) || u < 1 || u > 100) return false;
-    cfg.overload_high_pct = static_cast<int>(u);
-    return true;
-  }
-  if (name == "overload_low_pct") {
-    if (!parse_u64(value, u) || u > 100) return false;
-    cfg.overload_low_pct = static_cast<int>(u);
-    return true;
-  }
-  if (name == "op_deadline_ns") {
-    if (!parse_u64(value, u)) return false;
-    cfg.op_deadline_ns = u;
-    return true;
-  }
-  if (name == "coll_segment_bytes") {
-    if (!parse_u64(value, u)) return false;
-    cfg.coll_segment_bytes = static_cast<std::size_t>(u);
-    return true;
-  }
-  if (name == "coll_rsag_min_bytes") {
-    if (!parse_u64(value, u)) return false;
-    cfg.coll_rsag_min_bytes = static_cast<std::size_t>(u);
-    return true;
+  for (const Row& row : kRows) {
+    if (row.name == name) return apply_row(row, cfg, value);
   }
   return false;
 }
 
-Config config_from_env(Config base) {
-  static constexpr const char* kNames[] = {
-      "num_instances", "assignment",      "progress",        "allow_overtaking",
-      "progress_batch", "eager_limit",    "rndv_frag_bytes", "rx_ring_entries",
-      "cq_entries",     "max_communicators",
-      "fault_drop",    "fault_dup",       "fault_delay",     "fault_reorder",
-      "fault_corrupt", "fault_seed",      "reliable",        "rto_ns",
-      "rto_max_ns",    "max_retries",     "reliability_window",
-      "send_retry_limit",
-      "watchdog_interval_ns", "watchdog_stall_sweeps", "rndv_stall_ns",
-      "trace",         "trace_entries",   "obs",
-      "ft",            "ft_heartbeat_ns", "ft_suspect_ns",   "ft_strikes",
-      "unexpected_cap", "unexpected_policy",
-      "payload_pool_cap", "payload_pool_policy",
-      "tracker_cap",   "tracker_policy",
-      "overload_high_pct", "overload_low_pct", "op_deadline_ns",
-      "coll_segment_bytes", "coll_rsag_min_bytes",
-  };
-  for (const char* name : kNames) {
-    std::string env_name = "FAIRMPI_";
-    for (const char* p = name; *p != '\0'; ++p) {
-      env_name.push_back(*p == '-' ? '_'
-                                   : static_cast<char>(std::toupper(
-                                         static_cast<unsigned char>(*p))));
-    }
-    const char* value = std::getenv(env_name.c_str());
-    if (value == nullptr) continue;
-    FAIRMPI_CHECK_MSG(apply_cvar(base, name, value), "malformed FAIRMPI_* variable");
-  }
-  return base;
-}
+Config config_from_env(Config base) { return from_env(std::move(base), false); }
+
+Config overrides_from_env(Config base) { return from_env(std::move(base), true); }
 
 std::string list_cvars(const Config& cfg) {
+  Config copy = cfg;  // the bindings take a mutable Config; printing only reads
   std::ostringstream os;
-  os << "num_instances     = " << cfg.num_instances << '\n'
-     << "assignment        = " << cri::assignment_name(cfg.assignment) << '\n'
-     << "progress          = " << progress::progress_mode_name(cfg.progress_mode) << '\n'
-     << "allow_overtaking  = " << (cfg.allow_overtaking ? "true" : "false") << '\n'
-     << "progress_batch    = " << cfg.progress_batch << '\n'
-     << "eager_limit       = " << cfg.eager_limit << '\n'
-     << "rndv_frag_bytes   = " << cfg.rndv_frag_bytes << '\n'
-     << "rx_ring_entries   = " << cfg.fabric.rx_ring_entries << '\n'
-     << "cq_entries        = " << cfg.fabric.cq_entries << '\n'
-     << "max_communicators = " << cfg.max_communicators << '\n'
-     << "fault_drop        = " << cfg.faults.drop << '\n'
-     << "fault_dup         = " << cfg.faults.dup << '\n'
-     << "fault_delay       = " << cfg.faults.delay << '\n'
-     << "fault_reorder     = " << cfg.faults.reorder << '\n'
-     << "fault_corrupt     = " << cfg.faults.corrupt << '\n'
-     << "fault_seed        = " << cfg.faults.seed << '\n'
-     << "reliable          = " << (cfg.reliable ? "true" : "false") << '\n'
-     << "rto_ns            = " << cfg.rto_ns << '\n'
-     << "rto_max_ns        = " << cfg.rto_max_ns << '\n'
-     << "max_retries       = " << cfg.max_retries << '\n'
-     << "reliability_window = " << cfg.reliability_window << '\n'
-     << "send_retry_limit  = " << cfg.send_retry_limit << '\n'
-     << "watchdog_interval_ns  = " << cfg.watchdog_interval_ns << '\n'
-     << "watchdog_stall_sweeps = " << cfg.watchdog_stall_sweeps << '\n'
-     << "rndv_stall_ns     = " << cfg.rndv_stall_ns << '\n'
-     << "trace             = " << (cfg.trace_enabled ? "true" : "false") << '\n'
-     << "trace_entries     = " << cfg.trace_entries << '\n'
-     << "obs               = " << (cfg.obs_enabled ? "true" : "false") << '\n'
-     << "ft                = " << (cfg.ft_enabled ? "true" : "false") << '\n'
-     << "ft_heartbeat_ns   = " << cfg.ft_heartbeat_ns << '\n'
-     << "ft_suspect_ns     = " << cfg.ft_suspect_ns << '\n'
-     << "ft_strikes        = " << cfg.ft_strikes << '\n'
-     << "unexpected_cap    = " << cfg.unexpected_cap << '\n'
-     << "unexpected_policy = " << overload::policy_name(cfg.unexpected_policy) << '\n'
-     << "payload_pool_cap  = " << cfg.payload_pool_cap_bytes << '\n'
-     << "payload_pool_policy = " << overload::policy_name(cfg.payload_pool_policy)
-     << '\n'
-     << "tracker_cap       = " << cfg.tracker_cap << '\n'
-     << "tracker_policy    = " << overload::policy_name(cfg.tracker_policy) << '\n'
-     << "overload_high_pct = " << cfg.overload_high_pct << '\n'
-     << "overload_low_pct  = " << cfg.overload_low_pct << '\n'
-     << "op_deadline_ns    = " << cfg.op_deadline_ns << '\n'
-     << "coll_segment_bytes = " << cfg.coll_segment_bytes << '\n'
-     << "coll_rsag_min_bytes = " << cfg.coll_rsag_min_bytes << '\n';
+  os << std::left;
+  for (const Row& row : kRows) {
+    os << std::setw(17) << row.name << " = ";
+    std::visit([&](auto ref) { print(os, ref(copy)); }, row.field);
+    os << '\n';
+  }
   return os.str();
+}
+
+std::vector<CvarInfo> cvar_info() {
+  std::vector<CvarInfo> out;
+  out.reserve(std::size(kRows));
+  for (const Row& row : kRows) {
+    const CvarType type = std::visit([](auto ref) { return type_of(ref); }, row.field);
+    out.push_back({row.name, row.scope, type});
+  }
+  return out;
 }
 
 }  // namespace fairmpi

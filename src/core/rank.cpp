@@ -817,11 +817,6 @@ std::size_t Rank::handle_packet(fabric::Packet&& pkt) {
 
 std::size_t Rank::handle_completion(const fabric::Completion& c) {
   switch (c.kind) {
-    case fabric::Completion::Kind::kSendDone: {
-      auto* req = static_cast<p2p::Request*>(c.cookie);
-      req->complete();
-      return 1;
-    }
     case fabric::Completion::Kind::kRmaDone: {
       // The cookie is the initiating window's pending-operation counter
       // (see rma/window.cpp). Handled here too because a generic progress

@@ -1,9 +1,6 @@
 #include "fairmpi/core/universe.hpp"
 
 #include <algorithm>
-#include <cctype>
-#include <cstdlib>
-#include <string>
 
 #include "fairmpi/common/error.hpp"
 #include "fairmpi/common/timing.hpp"
@@ -18,45 +15,15 @@ std::vector<int> contexts_per_rank(const Config& cfg) {
   return std::vector<int>(static_cast<std::size_t>(cfg.num_ranks), cfg.num_instances);
 }
 
-/// Chaos-testing hook: the fault/reliability knobs are also honoured from
-/// the environment for universes built from a programmatic Config (tests,
-/// benches), so a CI job can replay an entire suite over a lossy fabric
-/// without touching each call site. Only fault-model knobs are read here —
-/// topology/design knobs from the environment stay the job of
-/// config_from_env, so a test's explicitly constructed design is never
-/// silently overridden.
+/// Chaos-testing hook: the override-scope control variables (fault model,
+/// reliability, watchdog, ft, trace/obs, overload caps; see cvar.hpp) are
+/// honoured from the environment for universes built from a programmatic
+/// Config (tests, benches), so a CI job can replay an entire suite over a
+/// lossy fabric without touching each call site. Design knobs from the
+/// environment stay the job of config_from_env, so a test's explicitly
+/// constructed design is never silently overridden.
 Config apply_chaos_env(Config cfg) {
-  static constexpr const char* kChaosKnobs[] = {
-      "fault_drop",     "fault_dup",        "fault_delay",
-      "fault_reorder",  "fault_corrupt",    "fault_seed",
-      "reliable",       "rto_ns",           "rto_max_ns",
-      "max_retries",    "reliability_window", "send_retry_limit",
-      "watchdog_interval_ns", "watchdog_stall_sweeps", "rndv_stall_ns",
-      // ft knobs ride along so a chaos job can arm the failure detector
-      // (FAIRMPI_FT=1) across a whole suite without touching call sites.
-      "ft",             "ft_heartbeat_ns",  "ft_suspect_ns",
-      "ft_strikes",
-      // Observability knobs ride along for the same reason: FAIRMPI_TRACE=1
-      // FAIRMPI_OBS=1 must instrument a test/bench binary that builds its
-      // Config programmatically, without touching each call site. They are
-      // additive-only (never alter the communication design under test).
-      "trace",          "trace_entries",    "obs",
-      // Overload-control caps (§5h) ride along so a memory-pressure chaos
-      // job can squeeze a whole suite under tiny caps without touching
-      // call sites. Additive: unset means uncapped, exactly as before.
-      "unexpected_cap", "unexpected_policy", "payload_pool_cap",
-      "payload_pool_policy", "tracker_cap",  "tracker_policy",
-      "overload_high_pct", "overload_low_pct", "op_deadline_ns",
-  };
-  for (const char* name : kChaosKnobs) {
-    std::string env_name = "FAIRMPI_";
-    for (const char* p = name; *p != '\0'; ++p) {
-      env_name.push_back(static_cast<char>(std::toupper(static_cast<unsigned char>(*p))));
-    }
-    const char* value = std::getenv(env_name.c_str());
-    if (value == nullptr) continue;
-    FAIRMPI_CHECK_MSG(apply_cvar(cfg, name, value), "malformed FAIRMPI_* variable");
-  }
+  cfg = overrides_from_env(std::move(cfg));
   // A lossy fabric without the reliability protocol cannot keep MPI
   // semantics; switching faults on implies switching reliability on.
   if (cfg.faults.any()) cfg.reliable = true;

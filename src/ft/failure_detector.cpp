@@ -77,7 +77,6 @@ std::uint64_t FailureDetector::poll(std::uint64_t now_ns, std::vector<int>& prob
       c.strikes = 0;
       c.last_strike_ns = now_ns;
       c.last_probe_ns = now_ns;
-      suspects_.fetch_add(1, std::memory_order_relaxed);
       spc_.add(Counter::kFtSuspects);
       tracer_.record(trace::Event::kPeerSuspect, static_cast<std::uint32_t>(p), 1);
       suspect_hint_.store(p, std::memory_order_relaxed);
@@ -97,7 +96,6 @@ std::uint64_t FailureDetector::poll(std::uint64_t now_ns, std::vector<int>& prob
     // Confirmed dead (terminal). Detection latency = last contact to now.
     c.state = PeerState::kDead;
     cell.dead.store(true, std::memory_order_release);
-    deaths_.fetch_add(1, std::memory_order_relaxed);
     spc_.add(Counter::kFtDeaths);
     const std::uint64_t ms = silence / 1'000'000;
     int bucket = 0;

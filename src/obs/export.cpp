@@ -185,8 +185,9 @@ void Universe::dump_observability(std::ostream& os) const {
     }
     os << "\n    ], \"ft\": ";
     // Liveness view (null with ft off): this rank's verdict on every peer,
-    // plus the detection-latency histogram (bucket i: confirmed < 2^i ms
-    // after last contact; last bucket overflows).
+    // its lifetime suspect/death counts (immune to a counter reset()), and
+    // the detection-latency histogram (bucket i: confirmed < 2^i ms after
+    // last contact; last bucket overflows).
     ft::FailureDetector* det = rank.failure_detector();
     if (det == nullptr) {
       os << "null";
@@ -196,7 +197,9 @@ void Universe::dump_observability(std::ostream& os) const {
         os << (p == 0 ? "" : ", ") << '"'
            << (p == rank.id() ? "self" : ft::peer_state_name(det->state(p))) << '"';
       }
-      os << "], \"suspects\": " << det->suspects() << ", \"deaths\": " << det->deaths()
+      const spc::Snapshot life = rank.counters().lifetime_snapshot();
+      os << "], \"suspects\": " << life.get(spc::Counter::kFtSuspects)
+         << ", \"deaths\": " << life.get(spc::Counter::kFtDeaths)
          << ", \"detection_latency_ms_hist\": [";
       const auto hist = det->latency_hist();
       for (int b = 0; b < ft::FailureDetector::kLatencyBuckets; ++b) {

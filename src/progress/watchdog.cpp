@@ -50,7 +50,6 @@ std::size_t Watchdog::poll(std::uint64_t now_ns) {
 
     st.escalated = true;
     ++flagged;
-    stalls_.fetch_add(1, std::memory_order_relaxed);
     spc_.add(Counter::kWatchdogStalls);
     tracer_.record(trace::Event::kWatchdogStall, static_cast<std::uint32_t>(i),
                    static_cast<std::uint32_t>(st.strikes));
@@ -66,9 +65,7 @@ std::size_t Watchdog::poll(std::uint64_t now_ns) {
   }
 
   if (probe_ != nullptr && now_ns > rndv_stall_ns_) {
-    const std::size_t rndv = probe_->scan_stalled(now_ns, now_ns - rndv_stall_ns_);
-    flagged += rndv;
-    stalls_.fetch_add(rndv, std::memory_order_relaxed);
+    flagged += probe_->scan_stalled(now_ns, now_ns - rndv_stall_ns_);
   }
   return flagged;
 }

@@ -256,7 +256,6 @@ TEST(Chaos, WatchdogEscalatesStalledInstance) {
   ASSERT_NE(dog, nullptr);
   for (int i = 0; i < 10; ++i) dog->poll(now_ns());
 
-  EXPECT_GT(dog->stalls_flagged(), 0u);
   EXPECT_GT(uni.rank(1).counters().get(Counter::kWatchdogStalls), 0u);
   EXPECT_TRUE(capture.saw(ErrorCode::kStalledInstance));
 }

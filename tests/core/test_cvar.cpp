@@ -3,7 +3,16 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cctype>
 #include <cstdlib>
+#include <fstream>
+#include <regex>
+#include <set>
+#include <sstream>
+#include <string>
+#include <utility>
+#include <vector>
 
 namespace fairmpi {
 namespace {
@@ -102,17 +111,129 @@ TEST(Cvar, MalformedEnvAborts) {
   ::unsetenv("FAIRMPI_NUM_INSTANCES");
 }
 
-TEST(Cvar, ListContainsEveryKnob) {
-  Config cfg;
-  cfg.num_instances = 42;
-  const std::string listing = list_cvars(cfg);
-  for (const char* name :
-       {"num_instances", "assignment", "progress", "allow_overtaking", "progress_batch",
-        "eager_limit", "rndv_frag_bytes", "rx_ring_entries", "cq_entries",
-        "max_communicators"}) {
-    EXPECT_NE(listing.find(name), std::string::npos) << name;
+/// list_cvars as (name, value) pairs, in order.
+std::vector<std::pair<std::string, std::string>> listed(const Config& cfg) {
+  std::vector<std::pair<std::string, std::string>> rows;
+  std::istringstream in(list_cvars(cfg));
+  std::string name, eq, value;
+  while (in >> name >> eq >> value) {
+    EXPECT_EQ(eq, "=") << name;
+    rows.emplace_back(name, value);
   }
-  EXPECT_NE(listing.find("42"), std::string::npos);
+  return rows;
+}
+
+TEST(Cvar, ListContainsEveryKnob) {
+  // Every row is listed, in table order, and its printed value parses back
+  // through apply_cvar to the same value: from the defaults, and from a
+  // Config where every numeric and bool knob is moved off its default.
+  const std::vector<CvarInfo> info = cvar_info();
+  Config moved;
+  for (const CvarInfo& row : info) {
+    const char* value = row.type == CvarType::kProbability ? "0.25"
+                        : row.type == CvarType::kBool     ? "true"
+                        : row.type == CvarType::kEnum     ? nullptr
+                                                          : "7";
+    if (value != nullptr) {
+      ASSERT_TRUE(apply_cvar(moved, row.name, value)) << row.name;
+    }
+  }
+  for (const Config& cfg : {Config{}, moved}) {
+    const auto rows = listed(cfg);
+    ASSERT_EQ(rows.size(), info.size());
+    Config parsed;
+    for (std::size_t i = 0; i < rows.size(); ++i) {
+      EXPECT_EQ(rows[i].first, info[i].name);
+      EXPECT_TRUE(apply_cvar(parsed, rows[i].first, rows[i].second)) << rows[i].first;
+    }
+    EXPECT_EQ(list_cvars(parsed), list_cvars(cfg));
+  }
+  EXPECT_EQ(listed(moved)[0], (std::pair<std::string, std::string>{"num_instances", "7"}));
+}
+
+TEST(Cvar, IntKnobsRejectOutOfRange) {
+  // An int knob used to narrow its u64 parse silently: 2^32 selected
+  // max_retries = 0, the fail-fast mode. Above INT_MAX is now a bad value.
+  int int_rows = 0;
+  for (const CvarInfo& row : cvar_info()) {
+    if (row.type != CvarType::kInt) continue;
+    ++int_rows;
+    Config cfg;
+    const std::string before = list_cvars(cfg);
+    for (const char* value : {"2147483648", "4294967296", "4294967297", "4294967299",
+                              "18446744073709551615"}) {
+      EXPECT_FALSE(apply_cvar(cfg, row.name, value)) << row.name << "=" << value;
+    }
+    EXPECT_EQ(list_cvars(cfg), before) << row.name;
+  }
+  EXPECT_GE(int_rows, 6);
+  Config cfg;
+  EXPECT_TRUE(apply_cvar(cfg, "max_retries", "2147483647"));
+  EXPECT_EQ(cfg.max_retries, 2147483647);
+  EXPECT_FALSE(apply_cvar(cfg, "overload_high_pct", "101"));
+  EXPECT_TRUE(apply_cvar(cfg, "fault_seed", "4294967296"));
+  EXPECT_EQ(cfg.faults.seed, 4294967296u);
+}
+
+TEST(Cvar, OverridesFromEnvReadsOnlyOverrideKnobs) {
+  ::setenv("FAIRMPI_NUM_INSTANCES", "12", 1);  // design scope
+  ::setenv("FAIRMPI_FAULT_SEED", "99", 1);     // override scope
+  const Config cfg = overrides_from_env(Config{});
+  EXPECT_EQ(cfg.num_instances, Config{}.num_instances);
+  EXPECT_EQ(cfg.faults.seed, 99u);
+  EXPECT_EQ(config_from_env().num_instances, 12);
+  ::unsetenv("FAIRMPI_NUM_INSTANCES");
+  ::unsetenv("FAIRMPI_FAULT_SEED");
+}
+
+std::string read_file(const std::string& path) {
+  std::ifstream in(path);
+  EXPECT_TRUE(in.is_open()) << path;
+  std::stringstream text;
+  text << in.rdbuf();
+  return text.str();
+}
+
+/// First capture group of every match of `pattern` in `text`.
+std::set<std::string> captures(const std::string& text, const std::regex& pattern) {
+  std::set<std::string> out;
+  for (auto it = std::sregex_iterator(text.begin(), text.end(), pattern);
+       it != std::sregex_iterator(); ++it) {
+    out.insert((*it)[1].str());
+  }
+  return out;
+}
+
+TEST(Cvar, CiEnvKeysAreOverrideKnobs) {
+  // An unknown FAIRMPI_* variable is ignored, and Universe reads only the
+  // override rows: a misspelled or design-scope key in a CI leg's env would
+  // silently run that leg on the default design and a pristine fabric.
+  const std::string root = FAIRMPI_SOURCE_DIR;
+  const std::regex assignment(R"((?:^|[^-\w])FAIRMPI_([A-Z0-9_]+)=)");
+  // ci.yml: `env:` keys and inline `FAIRMPI_X=...` (not `-DFAIRMPI_X=`
+  // CMake options).
+  const std::string ci = read_file(root + "/.github/workflows/ci.yml");
+  std::set<std::string> keys = captures(ci, assignment);
+  const std::set<std::string> yaml_keys = captures(ci, std::regex(R"(\sFAIRMPI_([A-Z0-9_]+):\s)"));
+  // tests/CMakeLists.txt: ENVIRONMENT test properties.
+  std::set<std::string> ctest_keys;
+  for (const std::string& env : captures(read_file(root + "/tests/CMakeLists.txt"),
+                                         std::regex(R"re(ENVIRONMENT\s+"([^"]*)")re"))) {
+    const std::set<std::string> k = captures(env, assignment);
+    ctest_keys.insert(k.begin(), k.end());
+  }
+  EXPECT_FALSE(yaml_keys.empty());
+  EXPECT_FALSE(ctest_keys.empty());
+  keys.insert(yaml_keys.begin(), yaml_keys.end());
+  keys.insert(ctest_keys.begin(), ctest_keys.end());
+  const std::vector<CvarInfo> info = cvar_info();
+  for (std::string key : keys) {
+    for (char& c : key) c = static_cast<char>(std::tolower(static_cast<unsigned char>(c)));
+    const auto row = std::find_if(info.begin(), info.end(),
+                                  [&](const CvarInfo& r) { return r.name == key; });
+    ASSERT_NE(row, info.end()) << "FAIRMPI_ variable names no control variable: " << key;
+    EXPECT_EQ(row->scope, CvarScope::kOverride) << "Universe ignores design knob " << key;
+  }
 }
 
 }  // namespace

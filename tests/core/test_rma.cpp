@@ -176,6 +176,37 @@ TEST_F(RmaTest, CqOverrunDrainsInline) {
   EXPECT_EQ(group_->window(0).pending(), 0u);
 }
 
+TEST_F(RmaTest, RoundRobinThreadsShareSmallCqs) {
+  // Round-robin hands each op the next instance, so every CQ is fed by all
+  // threads in turn and overruns its 8 entries: producers, the inline
+  // harvest and flush drains migrate across threads under the instance lock.
+  Config cfg;
+  cfg.num_instances = 2;
+  cfg.assignment = cri::Assignment::kRoundRobin;
+  cfg.fabric.cq_entries = 8;
+  build(cfg);
+  constexpr int kThreads = 4;
+  constexpr int kIters = 2000;
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      const auto value = static_cast<std::byte>(t + 1);
+      for (int i = 0; i < kIters; ++i) {
+        group_->window(0).put(1, static_cast<std::size_t>(t), &value, 1);
+        if (i % 64 == 63) group_->window(0).flush_all();
+      }
+      group_->window(0).flush_all();
+    });
+  }
+  for (auto& t : threads) t.join();
+  EXPECT_EQ(group_->window(0).pending(), 0u);
+  EXPECT_EQ(uni_->rank(0).counters().get(Counter::kRmaPuts),
+            static_cast<std::uint64_t>(kThreads) * kIters);
+  for (int t = 0; t < kThreads; ++t) {
+    EXPECT_EQ(regions_[1][static_cast<std::size_t>(t)], static_cast<std::byte>(t + 1));
+  }
+}
+
 TEST_F(RmaTest, ManyThreadsScalePendingCorrectly) {
   Config cfg;
   cfg.num_instances = 2;

@@ -96,7 +96,7 @@ TEST(Ft, IdlePeersStayAliveViaHeartbeats) {
   for (int r = 0; r < 2; ++r) {
     ft::FailureDetector* det = uni.rank(r).failure_detector();
     ASSERT_NE(det, nullptr);
-    EXPECT_EQ(det->deaths(), 0u) << "rank " << r;
+    EXPECT_EQ(uni.rank(r).counters().get(Counter::kFtDeaths), 0u) << "rank " << r;
     EXPECT_EQ(det->state(1 - r), ft::PeerState::kAlive) << "rank " << r;
     EXPECT_FALSE(uni.rank(r).peer_failed(1 - r));
   }
@@ -120,7 +120,7 @@ TEST(Ft, NoteAliveNewerThanPollNowIsNotSilence) {
   det.note_alive(1, t + 10);
   det.poll(t + 5, probes, dead);
   EXPECT_EQ(det.state(1), ft::PeerState::kAlive);
-  EXPECT_EQ(det.suspects(), 0u);
+  EXPECT_EQ(counters.get(Counter::kFtSuspects), 0u);
   EXPECT_TRUE(dead.empty());
 }
 

@@ -4,6 +4,7 @@
 
 #include <atomic>
 #include <thread>
+#include <utility>
 #include <vector>
 
 namespace fairmpi::progress {
@@ -155,7 +156,7 @@ TEST_F(ProgressTest, CompletionQueueDrainedBeforePackets) {
   std::atomic<std::uint64_t> pending{1};
   fabric::Completion comp{fabric::Completion::Kind::kRmaDone, &pending};
   // CountingSink ignores the cookie; use the real kind routing only.
-  ASSERT_TRUE(fabric_->nic(0).context(0).cq().try_push(comp));
+  ASSERT_TRUE(fabric_->nic(0).context(0).cq().try_push(std::move(comp)));
   inject(0, 2);
   EXPECT_EQ(engine_->progress(), 3u);
   EXPECT_EQ(sink_.completions.load(), 1u);
