@@ -1,8 +1,8 @@
 // Dense per-thread slot ids.
 //
-// Several hot-path structures (the sharded SPC shards, SlabArena's per-thread
-// freelist caches) want one private cache line per *live* thread, indexed by
-// a small integer. `std::thread::id` is neither small nor dense, and a bare
+// Several hot-path structures (the counter store in sharded_cells.hpp,
+// SlabArena's per-thread freelist caches) want one private cache line per
+// *live* thread, indexed by a small integer. `std::thread::id` is neither small nor dense, and a bare
 // monotonic thread_local counter would eventually alias two live threads onto
 // one slot — which silently breaks the "single writer per cell" invariant
 // those structures rely on.

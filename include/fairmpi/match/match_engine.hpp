@@ -311,7 +311,7 @@ class MatchEngine : public p2p::CancelScope {
   };
 
   // The private pipeline below threads a spc::CounterSet::Cursor through so
-  // the per-thread counter shard is resolved once per public entry point.
+  // the per-thread counter block is resolved once per public entry point.
 
   /// Match one in-order packet against the posted queues; deliver or store
   /// as unexpected. Returns 1 on delivery, 0 otherwise. Lock held.

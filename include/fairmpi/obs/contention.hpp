@@ -6,17 +6,19 @@
 // actually waiting on?" — and aggregate SPCs cannot answer it (they count
 // one CRI wait metric, attributed to nothing). This profiler attributes
 // acquire-wait cycles and try-lock failures to *lock classes* — the same
-// (rank, name) identity the lock-rank validator uses — so a multirate run
-// can report, e.g., that 80% of blocked time sits on `cri.instance` under
-// serial progress and migrates to `match.engine` once CRIs are replicated.
+// (lock rank, name) identity the lock-rank validator uses — so a multirate
+// run can report, e.g., that 80% of blocked time sits on `cri.instance`
+// under serial progress and migrates to `match.engine` once CRIs are
+// replicated.
 //
-// Design (mirrors the sharded SPC CounterSet):
+// Design:
 //   * process-global registry of lock classes (RankedLock instances cache
 //     their interned id, so steady state never re-interns);
-//   * per-thread shards (common/thread_slot.hpp): the owning thread writes
-//     its cells with plain relaxed stores, snapshot() sums across shards;
-//     threads past the slot registry share one overflow shard with real
-//     RMWs — correct, just contended;
+//   * four cells per class (acquires, contended, wait cycles, try-lock
+//     fails) in the per-thread counter store (common/sharded_cells.hpp),
+//     so a lock operation bumps only the calling thread's block;
+//     contention_snapshot() sums across blocks. Counts are lifetime
+//     totals: a caller wanting one phase subtracts an earlier snapshot;
 //   * wait time is measured in TSC cycles (common/timing.hpp CycleClock)
 //     and converted to ns only when a snapshot is rendered.
 //
@@ -31,8 +33,6 @@
 #include <cstdint>
 #include <string>
 #include <vector>
-
-#include "fairmpi/common/align.hpp"
 
 namespace fairmpi::obs {
 
@@ -59,9 +59,9 @@ void set_enabled(bool on) noexcept;
 inline constexpr int kMaxContentionClasses = 64;
 inline constexpr std::uint16_t kNoContentionClass = 0xFFFF;
 
-/// Intern a lock class by (rank, name). Repeated interning of the same pair
-/// returns the same id. Cheap but not free (linear scan under a lock) —
-/// callers cache the id (RankedLock does).
+/// Intern a lock class by (lock rank, name). Repeated interning of the same
+/// pair returns the same id. Cheap but not free (linear scan under a lock)
+/// — callers cache the id (RankedLock does).
 std::uint16_t intern_contention_class(std::uint16_t rank, const char* name) noexcept;
 
 // --- hot-path hooks (call only when enabled(); cls may be
@@ -81,20 +81,16 @@ void note_trylock_fail(std::uint16_t cls) noexcept;
 /// cycles.
 struct ClassContention {
   std::string name;
-  std::uint16_t rank = 0;
+  std::uint16_t rank = 0;           ///< the class's LockRank, not an MPI rank
   std::uint64_t acquires = 0;       ///< successful acquisitions, total
   std::uint64_t contended = 0;      ///< ... of which had to wait
   std::uint64_t wait_ns = 0;        ///< total blocked time
   std::uint64_t trylock_fails = 0;  ///< failed try_lock probes
 };
 
-/// Sum over all shards for every interned class, in intern order. Classes
-/// with no recorded activity are included (all-zero rows), so reports can
-/// distinguish "never contended" from "not instrumented".
+/// Lifetime totals over all threads for every interned class, in intern
+/// order. Classes with no recorded activity are included (all-zero rows),
+/// so reports can distinguish "never contended" from "not instrumented".
 std::vector<ClassContention> contention_snapshot();
-
-/// Zero every shard cell (test isolation only; racing writers may survive
-/// into the next epoch, exactly like spc::CounterSet::reset's caveat).
-void reset_contention_for_test() noexcept;
 
 }  // namespace fairmpi::obs

@@ -11,16 +11,18 @@
 // source, orphan sweeps count cross-instance rescues, and the drain-batch
 // histogram shows whether progress harvests singles or bursts.
 //
-// Writers run under (or adjacent to) the instance lock on already-owned
-// cache lines, and every update is gated on obs::enabled(), so the
-// disabled cost is one predicted branch per drain/injection.
+// Each instance keeps its cells in its own per-thread counter store
+// (common/sharded_cells.hpp), so a drain or injection touches only the
+// calling thread's block. Every update is gated on obs::enabled(), so the
+// disabled cost is one relaxed load and a predicted branch.
 #pragma once
 
 #include <array>
-#include <atomic>
+#include <cstddef>
 #include <cstdint>
 
 #include "fairmpi/common/align.hpp"
+#include "fairmpi/common/sharded_cells.hpp"
 #include "fairmpi/obs/contention.hpp"
 
 namespace fairmpi::obs {
@@ -51,48 +53,47 @@ struct InstanceUtilization {
   std::array<std::uint64_t, kSubmitHistBuckets> submit_flush_hist{};  ///< retired: all 0
 };
 
-/// The live counters, one per CommResourceInstance. Multiple threads touch
-/// an instance over its lifetime (and sweeps read concurrently), so cells
-/// are relaxed atomics; fetch_add is fine — the updates sit on lines the
-/// lock holder already owns.
+/// The live counters, one per CommResourceInstance. Many threads touch an
+/// instance over its lifetime (and sweeps read concurrently); each writes
+/// only its own block of the store.
 class alignas(kCacheLine) InstanceCounters {
  public:
   /// One packet handed to this instance's endpoints (instance lock held).
   void note_injection() noexcept {
     if (!enabled()) return;
-    injections_.fetch_add(1, std::memory_order_relaxed);
+    cells_.cursor().add(kInjections);
   }
 
   /// One drain visit that popped `n_pkts` packets and `n_comps`
   /// completions. `sweep` marks a non-owner visit (Alg. 2's rescue path).
   void note_drain(std::size_t n_pkts, std::size_t n_comps, bool sweep) noexcept {
     if (!enabled()) return;
-    drain_visits_.fetch_add(1, std::memory_order_relaxed);
+    auto c = cells_.cursor();
+    c.add(kDrainVisits);
     const std::size_t total = n_pkts + n_comps;
     if (total == 0) return;
-    packets_drained_.fetch_add(n_pkts, std::memory_order_relaxed);
-    completions_drained_.fetch_add(n_comps, std::memory_order_relaxed);
-    drain_hist_[bucket(total)].fetch_add(1, std::memory_order_relaxed);
-    if (sweep) orphan_sweeps_.fetch_add(1, std::memory_order_relaxed);
+    c.add(kPacketsDrained, n_pkts);
+    c.add(kCompletionsDrained, n_comps);
+    c.add(kDrainHist + static_cast<std::size_t>(bucket(total)));
+    if (sweep) c.add(kOrphanSweeps);
   }
 
   /// A thread's try_lock on its OWN instance failed (Alg. 2 line 1 miss).
   void note_own_trylock_miss() noexcept {
     if (!enabled()) return;
-    own_trylock_misses_.fetch_add(1, std::memory_order_relaxed);
+    cells_.cursor().add(kOwnTrylockMisses);
   }
 
   InstanceUtilization snapshot() const noexcept {
     InstanceUtilization u;
-    u.injections = injections_.load(std::memory_order_relaxed);
-    u.packets_drained = packets_drained_.load(std::memory_order_relaxed);
-    u.completions_drained = completions_drained_.load(std::memory_order_relaxed);
-    u.own_trylock_misses = own_trylock_misses_.load(std::memory_order_relaxed);
-    u.orphan_sweeps = orphan_sweeps_.load(std::memory_order_relaxed);
-    u.drain_visits = drain_visits_.load(std::memory_order_relaxed);
-    for (int i = 0; i < kDrainHistBuckets; ++i) {
-      u.drain_hist[static_cast<std::size_t>(i)] =
-          drain_hist_[static_cast<std::size_t>(i)].load(std::memory_order_relaxed);
+    u.injections = cells_.sum(kInjections);
+    u.packets_drained = cells_.sum(kPacketsDrained);
+    u.completions_drained = cells_.sum(kCompletionsDrained);
+    u.own_trylock_misses = cells_.sum(kOwnTrylockMisses);
+    u.orphan_sweeps = cells_.sum(kOrphanSweeps);
+    u.drain_visits = cells_.sum(kDrainVisits);
+    for (std::size_t i = 0; i < u.drain_hist.size(); ++i) {
+      u.drain_hist[i] = cells_.sum(kDrainHist + i);
     }
     return u;
   }
@@ -107,13 +108,18 @@ class alignas(kCacheLine) InstanceCounters {
   }
 
  private:
-  std::atomic<std::uint64_t> injections_{0};
-  std::atomic<std::uint64_t> packets_drained_{0};
-  std::atomic<std::uint64_t> completions_drained_{0};
-  std::atomic<std::uint64_t> own_trylock_misses_{0};
-  std::atomic<std::uint64_t> orphan_sweeps_{0};
-  std::atomic<std::uint64_t> drain_visits_{0};
-  std::array<std::atomic<std::uint64_t>, kDrainHistBuckets> drain_hist_{};
+  enum Cell : std::size_t {
+    kInjections,
+    kPacketsDrained,
+    kCompletionsDrained,
+    kOwnTrylockMisses,
+    kOrphanSweeps,
+    kDrainVisits,
+    kDrainHist,  ///< first of kDrainHistBuckets cells
+    kNumCells = kDrainHist + kDrainHistBuckets,
+  };
+
+  common::ShardedCells<kNumCells> cells_;
 };
 
 }  // namespace fairmpi::obs

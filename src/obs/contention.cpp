@@ -1,26 +1,22 @@
 #include "fairmpi/obs/contention.hpp"
 
 #include <cstring>
+
+#include "fairmpi/common/sharded_cells.hpp"
 #include "fairmpi/common/spinlock.hpp"
-#include "fairmpi/common/thread_slot.hpp"
 #include "fairmpi/common/timing.hpp"
 
 namespace fairmpi::obs {
 
 namespace {
 
-/// One class's cells within a shard. Private shards are single-writer
-/// (relaxed load+store increments); the overflow shard uses real RMWs.
-struct Cell {
-  std::atomic<std::uint64_t> acquires{0};
-  std::atomic<std::uint64_t> contended{0};
-  std::atomic<std::uint64_t> wait_cycles{0};
-  std::atomic<std::uint64_t> trylock_fails{0};
-};
+/// A class's four cells in the counter store: class c owns cells
+/// [c * kCellsPerClass, (c + 1) * kCellsPerClass).
+enum Cell : std::size_t { kAcquires, kContended, kWaitCycles, kTrylockFails, kCellsPerClass };
 
-struct alignas(fairmpi::kCacheLine) Shard {
-  Cell cells[kMaxContentionClasses];
-};
+std::size_t cell(std::uint16_t cls, Cell field) noexcept {
+  return std::size_t{cls} * kCellsPerClass + field;
+}
 
 /// Registry of interned classes. The intern lock is a bare Spinlock on
 /// purpose: this file implements the profiler RankedLock reports into, so
@@ -38,50 +34,19 @@ struct Registry {
   std::atomic<int> n_classes{0};
   const char* names[kMaxContentionClasses] = {};
   std::uint16_t ranks[kMaxContentionClasses] = {};
-  /// Shards indexed by thread slot; last index is the shared overflow
-  /// shard. Allocated on first touch, leaked at exit (the profiler is
-  /// process-lifetime, like the thread-slot registry it mirrors).
-  std::atomic<Shard*> shards[common::kMaxThreadSlots + 1] = {};
+  common::ShardedCells<kMaxContentionClasses * kCellsPerClass> cells;
 };
 
 Registry& registry() noexcept {
-  static Registry r;
-  return r;
-}
-
-Shard& shard_for(std::size_t idx, bool& shared) noexcept {
-  Registry& r = registry();
-  shared = idx == static_cast<std::size_t>(common::kMaxThreadSlots);
-  Shard* s = r.shards[idx].load(std::memory_order_acquire);
-  if (s != nullptr) return *s;
-  // lint: allow(hotpath-alloc) first touch of a thread's shard (setup path)
-  auto* fresh = new Shard();
-  Shard* expected = nullptr;
-  if (r.shards[idx].compare_exchange_strong(expected, fresh, std::memory_order_acq_rel,
-                                            std::memory_order_acquire)) {
-    return *fresh;
-  }
-  delete fresh;
-  return *expected;
-}
-
-/// The calling thread's cell for `cls`; sets `shared` when RMWs are needed.
-Cell& cell_for(std::uint16_t cls, bool& shared) noexcept {
-  const int slot = common::this_thread_slot();
-  const std::size_t idx = slot == common::kNoThreadSlot
-                              ? static_cast<std::size_t>(common::kMaxThreadSlots)
-                              : static_cast<std::size_t>(slot);
-  return shard_for(idx, shared).cells[cls];
-}
-
-void bump(std::atomic<std::uint64_t>& c, std::uint64_t n, bool shared) noexcept {
-  if (shared) {
-    c.fetch_add(n, std::memory_order_relaxed);
-  } else {
-    // Single-writer cell: relaxed load+store is a data-race-free increment
-    // without the lock prefix (same idiom as spc::CounterSet::add).
-    c.store(c.load(std::memory_order_relaxed) + n, std::memory_order_relaxed);
-  }
+  // Never destroyed: lock classes are process-lifetime, and a lock taken by
+  // a late static destructor must still find its cells. Constant-initialized,
+  // so the hooks pay no guard check.
+  static constinit union Holder {
+    Registry r;
+    constexpr Holder() : r() {}
+    ~Holder() {}
+  } holder;
+  return holder.r;
 }
 
 }  // namespace
@@ -108,25 +73,20 @@ std::uint16_t intern_contention_class(std::uint16_t rank, const char* name) noex
 
 void note_uncontended_acquire(std::uint16_t cls) noexcept {
   if (cls >= kMaxContentionClasses) return;
-  bool shared = false;
-  Cell& c = cell_for(cls, shared);
-  bump(c.acquires, 1, shared);
+  registry().cells.cursor().add(cell(cls, kAcquires));
 }
 
 void note_contended_acquire(std::uint16_t cls, std::uint64_t wait_cycles) noexcept {
   if (cls >= kMaxContentionClasses) return;
-  bool shared = false;
-  Cell& c = cell_for(cls, shared);
-  bump(c.acquires, 1, shared);
-  bump(c.contended, 1, shared);
-  bump(c.wait_cycles, wait_cycles, shared);
+  auto c = registry().cells.cursor();
+  c.add(cell(cls, kAcquires));
+  c.add(cell(cls, kContended));
+  c.add(cell(cls, kWaitCycles), wait_cycles);
 }
 
 void note_trylock_fail(std::uint16_t cls) noexcept {
   if (cls >= kMaxContentionClasses) return;
-  bool shared = false;
-  Cell& c = cell_for(cls, shared);
-  bump(c.trylock_fails, 1, shared);
+  registry().cells.cursor().add(cell(cls, kTrylockFails));
 }
 
 std::vector<ClassContention> contention_snapshot() {
@@ -134,36 +94,16 @@ std::vector<ClassContention> contention_snapshot() {
   const int n = r.n_classes.load(std::memory_order_acquire);
   std::vector<ClassContention> out(static_cast<std::size_t>(n));
   for (int i = 0; i < n; ++i) {
+    const auto cls = static_cast<std::uint16_t>(i);
     ClassContention& row = out[static_cast<std::size_t>(i)];
     row.name = r.names[i];
     row.rank = r.ranks[i];
-    std::uint64_t cycles = 0;
-    for (auto& slot : r.shards) {
-      const Shard* s = slot.load(std::memory_order_acquire);
-      if (s == nullptr) continue;
-      const Cell& c = s->cells[i];
-      row.acquires += c.acquires.load(std::memory_order_relaxed);
-      row.contended += c.contended.load(std::memory_order_relaxed);
-      cycles += c.wait_cycles.load(std::memory_order_relaxed);
-      row.trylock_fails += c.trylock_fails.load(std::memory_order_relaxed);
-    }
-    row.wait_ns = CycleClock::to_ns(cycles);
+    row.acquires = r.cells.sum(cell(cls, kAcquires));
+    row.contended = r.cells.sum(cell(cls, kContended));
+    row.wait_ns = CycleClock::to_ns(r.cells.sum(cell(cls, kWaitCycles)));
+    row.trylock_fails = r.cells.sum(cell(cls, kTrylockFails));
   }
   return out;
-}
-
-void reset_contention_for_test() noexcept {
-  Registry& r = registry();
-  for (auto& slot : r.shards) {
-    Shard* s = slot.load(std::memory_order_acquire);
-    if (s == nullptr) continue;
-    for (auto& c : s->cells) {
-      c.acquires.store(0, std::memory_order_relaxed);
-      c.contended.store(0, std::memory_order_relaxed);
-      c.wait_cycles.store(0, std::memory_order_relaxed);
-      c.trylock_fails.store(0, std::memory_order_relaxed);
-    }
-  }
 }
 
 }  // namespace fairmpi::obs

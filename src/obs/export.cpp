@@ -166,6 +166,7 @@ void Universe::dump_observability(std::ostream& os) const {
   os << "  \"ranks\": [";
   for (std::size_t r = 0; r < ranks_.size(); ++r) {
     Rank& rank = *ranks_[r];
+    const spc::Snapshot counters = rank.counters().snapshot();
     os << (r == 0 ? "" : ",") << "\n    {\"rank\": " << rank.id()
        << ", \"instances\": [";
     cri::CriPool& pool = rank.pool();
@@ -185,9 +186,9 @@ void Universe::dump_observability(std::ostream& os) const {
     }
     os << "\n    ], \"ft\": ";
     // Liveness view (null with ft off): this rank's verdict on every peer,
-    // its lifetime suspect/death counts (immune to a counter reset()), and
-    // the detection-latency histogram (bucket i: confirmed < 2^i ms after
-    // last contact; last bucket overflows).
+    // its lifetime suspect/death counts, and the detection-latency histogram
+    // (bucket i: confirmed < 2^i ms after last contact; last bucket
+    // overflows).
     ft::FailureDetector* det = rank.failure_detector();
     if (det == nullptr) {
       os << "null";
@@ -197,9 +198,8 @@ void Universe::dump_observability(std::ostream& os) const {
         os << (p == 0 ? "" : ", ") << '"'
            << (p == rank.id() ? "self" : ft::peer_state_name(det->state(p))) << '"';
       }
-      const spc::Snapshot life = rank.counters().lifetime_snapshot();
-      os << "], \"suspects\": " << life.get(spc::Counter::kFtSuspects)
-         << ", \"deaths\": " << life.get(spc::Counter::kFtDeaths)
+      os << "], \"suspects\": " << counters.get(spc::Counter::kFtSuspects)
+         << ", \"deaths\": " << counters.get(spc::Counter::kFtDeaths)
          << ", \"detection_latency_ms_hist\": [";
       const auto hist = det->latency_hist();
       for (int b = 0; b < ft::FailureDetector::kLatencyBuckets; ++b) {
@@ -228,7 +228,7 @@ void Universe::dump_observability(std::ostream& os) const {
          << "}";
     }
     os << ", \"spc\": ";
-    emit_spc(os, rank.counters().snapshot(), "    ");
+    emit_spc(os, counters, "    ");
     os << "}";
   }
   os << "\n  ],\n";

@@ -1,7 +1,5 @@
 #include "fairmpi/spc/spc.hpp"
 
-#include <sstream>
-
 namespace fairmpi::spc {
 
 const char* counter_name(Counter c) noexcept {
@@ -89,99 +87,12 @@ void Snapshot::merge(const Snapshot& other) noexcept {
   }
 }
 
-std::string Snapshot::to_string() const {
-  std::ostringstream os;
-  for (int i = 0; i < kNumCounters; ++i) {
-    const auto c = static_cast<Counter>(i);
-    os << counter_name(c) << " = " << values[static_cast<std::size_t>(i)] << '\n';
-  }
-  return os.str();
-}
-
-CounterSet::~CounterSet() {
-  for (auto& slot : shards_) {
-    delete slot.load(std::memory_order_acquire);
-  }
-}
-
-CounterSet::Shard& CounterSet::slow_shard(std::size_t idx) noexcept {
-  auto* fresh = new Shard();
-  Shard* expected = nullptr;
-  // For a private slot only the owning thread installs, but the overflow
-  // slot (and a snapshot() racing first-touch) makes CAS the safe idiom;
-  // the loser frees its copy and adopts the winner's shard.
-  if (shards_[idx].compare_exchange_strong(expected, fresh, std::memory_order_acq_rel,
-                                           std::memory_order_acquire)) {
-    return *fresh;
-  }
-  delete fresh;
-  return *expected;
-}
-
-CounterSet::Shard& CounterSet::overflow_shard() noexcept {
-  Shard* s = shards_[common::kMaxThreadSlots].load(std::memory_order_acquire);
-  if (s != nullptr) return *s;
-  return slow_shard(common::kMaxThreadSlots);
-}
-
-void CounterSet::add_shared(Counter c, std::uint64_t n) noexcept {
-  // Shared cell: many overflow threads write it, so a real RMW is required.
-  overflow_shard().cells[static_cast<std::size_t>(c)].fetch_add(n, std::memory_order_relaxed);
-}
-
-void CounterSet::max_shared(Counter c, std::uint64_t candidate) noexcept {
-  auto& cell = overflow_shard().cells[static_cast<std::size_t>(c)];
-  std::uint64_t cur = cell.load(std::memory_order_relaxed);
-  while (candidate > cur &&
-         !cell.compare_exchange_weak(cur, candidate, std::memory_order_relaxed)) {
-  }
-}
-
-std::uint64_t CounterSet::raw_total(Counter c) const noexcept {
-  const auto idx = static_cast<std::size_t>(c);
-  std::uint64_t total = 0;
-  for (const auto& slot : shards_) {
-    const Shard* s = slot.load(std::memory_order_acquire);
-    if (s == nullptr) continue;
-    const std::uint64_t v = s->cells[idx].load(std::memory_order_relaxed);
-    total = is_high_water(c) ? (v > total ? v : total) : total + v;
-  }
-  return total;
-}
-
-std::uint64_t CounterSet::get(Counter c) const noexcept {
-  const std::uint64_t total = raw_total(c);
-  if (is_high_water(c)) return total;
-  const std::uint64_t base = base_[static_cast<std::size_t>(c)].load(std::memory_order_relaxed);
-  // Sums are monotone, so total >= base except mid-race; clamp for safety.
-  return total >= base ? total - base : 0;
-}
-
 Snapshot CounterSet::snapshot() const noexcept {
   Snapshot out;
   for (int i = 0; i < kNumCounters; ++i) {
     out.values[static_cast<std::size_t>(i)] = get(static_cast<Counter>(i));
   }
   return out;
-}
-
-Snapshot CounterSet::lifetime_snapshot() const noexcept {
-  Snapshot out;
-  for (int i = 0; i < kNumCounters; ++i) {
-    out.values[static_cast<std::size_t>(i)] = raw_total(static_cast<Counter>(i));
-  }
-  return out;
-}
-
-void CounterSet::reset() noexcept {
-  for (int i = 0; i < kNumCounters; ++i) {
-    const auto c = static_cast<Counter>(i);
-    if (is_high_water(c)) continue;  // lifetime maxima survive reset()
-    // Rebase instead of zeroing the cells: an add() racing this reset lands
-    // in its shard either before or after the sum above — never lost, only
-    // attributed to the old or the new epoch.
-    base_[static_cast<std::size_t>(i)].store(raw_total(c), std::memory_order_relaxed);
-  }
 }
 
 }  // namespace fairmpi::spc

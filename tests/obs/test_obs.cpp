@@ -2,7 +2,9 @@
 // CRI-utilization conservation against SPC totals, and exporter structure.
 //
 // obs::enabled() is a process-global switch; every test that flips it on
-// restores it (and resets the shards) so suites stay order-independent.
+// restores it so suites stay order-independent. Contention counts are
+// lifetime totals, so each test profiles its own uniquely named lock class
+// and subtracts that class's counts from before the test.
 // The one exception is the intern-past-cap test, which permanently fills
 // the class registry — it is declared LAST so its suite runs last.
 #include <gtest/gtest.h>
@@ -56,16 +58,10 @@ class ScopedChaosEnvClear {
   std::vector<std::pair<const char*, std::string>> saved_;
 };
 
-/// RAII: obs on for the scope, shards zeroed on both edges.
+/// RAII: obs on for the scope.
 struct ObsScope {
-  ObsScope() {
-    obs::reset_contention_for_test();
-    obs::set_enabled(true);
-  }
-  ~ObsScope() {
-    obs::set_enabled(false);
-    obs::reset_contention_for_test();
-  }
+  ObsScope() { obs::set_enabled(true); }
+  ~ObsScope() { obs::set_enabled(false); }
 };
 
 const obs::ClassContention* find_class(const std::vector<obs::ClassContention>& all,
@@ -76,11 +72,27 @@ const obs::ClassContention* find_class(const std::vector<obs::ClassContention>& 
   return nullptr;
 }
 
+/// Class `name`'s counts since `before` (all zero if it is not interned).
+obs::ClassContention class_since(const std::vector<obs::ClassContention>& before,
+                                 const char* name) {
+  const auto now = obs::contention_snapshot();
+  const obs::ClassContention* c = find_class(now, name);
+  if (c == nullptr) return obs::ClassContention{name};
+  obs::ClassContention out = *c;
+  if (const obs::ClassContention* b = find_class(before, name)) {
+    out.acquires -= b->acquires;
+    out.contended -= b->contended;
+    out.wait_ns -= b->wait_ns;
+    out.trylock_fails -= b->trylock_fails;
+  }
+  return out;
+}
+
 // --- LockContention.* (name matches the CI TSan job's test filter) ---
 
 TEST(LockContention, DisabledRecordsNothing) {
   obs::set_enabled(false);
-  obs::reset_contention_for_test();
+  const auto before = obs::contention_snapshot();
   RankedLock<Spinlock> lock(LockRank::kTestBase, "obs.test.disabled");
   for (int i = 0; i < 100; ++i) {
     lock.lock();
@@ -88,18 +100,16 @@ TEST(LockContention, DisabledRecordsNothing) {
     ASSERT_TRUE(lock.try_lock());
     lock.unlock();
   }
-  const auto all = obs::contention_snapshot();
-  const auto* c = find_class(all, "obs.test.disabled");
   // The class is not even interned (nothing forces it while disabled); if a
-  // future change interns eagerly, its cells must still read zero.
-  if (c != nullptr) {
-    EXPECT_EQ(c->acquires, 0u);
-    EXPECT_EQ(c->trylock_fails, 0u);
-  }
+  // future change interns eagerly, its cells must still not move.
+  const obs::ClassContention c = class_since(before, "obs.test.disabled");
+  EXPECT_EQ(c.acquires, 0u);
+  EXPECT_EQ(c.trylock_fails, 0u);
 }
 
 TEST(LockContention, CountsAcquiresAndTrylockFails) {
   ObsScope scope;
+  const auto before = obs::contention_snapshot();
   RankedLock<Spinlock> lock(LockRank::kTestBase, "obs.test.counts");
   constexpr int kOps = 1000;
   for (int i = 0; i < kOps; ++i) {
@@ -112,16 +122,16 @@ TEST(LockContention, CountsAcquiresAndTrylockFails) {
   }
   lock.unlock();
 
-  const auto all = obs::contention_snapshot();
-  const auto* c = find_class(all, "obs.test.counts");
-  ASSERT_NE(c, nullptr);
-  EXPECT_EQ(c->acquires, static_cast<std::uint64_t>(kOps) + 1);
-  EXPECT_EQ(c->trylock_fails, 7u);
-  EXPECT_EQ(c->rank, static_cast<std::uint16_t>(LockRank::kTestBase));
+  ASSERT_NE(find_class(obs::contention_snapshot(), "obs.test.counts"), nullptr);
+  const obs::ClassContention c = class_since(before, "obs.test.counts");
+  EXPECT_EQ(c.acquires, static_cast<std::uint64_t>(kOps) + 1);
+  EXPECT_EQ(c.trylock_fails, 7u);
+  EXPECT_EQ(c.rank, static_cast<std::uint16_t>(LockRank::kTestBase));
 }
 
 TEST(LockContention, AttributesWaitTimeUnderContention) {
   ObsScope scope;
+  const auto before = obs::contention_snapshot();
   RankedLock<Spinlock> lock(LockRank::kTestBase, "obs.test.contended");
   std::atomic<bool> held{false};
   std::atomic<bool> release{false};
@@ -144,18 +154,18 @@ TEST(LockContention, AttributesWaitTimeUnderContention) {
   holder.join();
   waiter.join();
 
-  const auto all = obs::contention_snapshot();
-  const auto* c = find_class(all, "obs.test.contended");
-  ASSERT_NE(c, nullptr);
-  EXPECT_GE(c->acquires, 2u);
-  EXPECT_GE(c->contended, 1u);
-  EXPECT_GT(c->wait_ns, 0u);
+  ASSERT_NE(find_class(obs::contention_snapshot(), "obs.test.contended"), nullptr);
+  const obs::ClassContention c = class_since(before, "obs.test.contended");
+  EXPECT_GE(c.acquires, 2u);
+  EXPECT_GE(c.contended, 1u);
+  EXPECT_GT(c.wait_ns, 0u);
 }
 
-// The TSan target: many threads pounding one class through private
-// per-thread-slot shards must neither race nor lose counts.
+// The TSan target: many threads pounding one class through their own
+// blocks of the counter store must neither race nor lose counts.
 TEST(LockContention, ShardsSumExactlyAcrossThreads) {
   ObsScope scope;
+  const auto before = obs::contention_snapshot();
   RankedLock<Spinlock> lock(LockRank::kTestBase, "obs.test.shards");
   constexpr int kThreads = 8;
   constexpr int kOpsPerThread = 5000;
@@ -174,17 +184,16 @@ TEST(LockContention, ShardsSumExactlyAcrossThreads) {
   }
   for (auto& t : threads) t.join();
 
-  const auto all = obs::contention_snapshot();
-  const auto* c = find_class(all, "obs.test.shards");
-  ASSERT_NE(c, nullptr);
+  ASSERT_NE(find_class(obs::contention_snapshot(), "obs.test.shards"), nullptr);
+  const obs::ClassContention c = class_since(before, "obs.test.shards");
   // Every blocking lock() is exactly one acquire; successful try_locks add
   // more, failed ones only bump trylock_fails — together they account for
   // every one of the kThreads * kOpsPerThread probes.
   const std::uint64_t blocking =
       static_cast<std::uint64_t>(kThreads) * kOpsPerThread;
-  EXPECT_GE(c->acquires, blocking);
-  EXPECT_LE(c->acquires, 2 * blocking);
-  EXPECT_EQ((c->acquires - blocking) + c->trylock_fails, blocking);
+  EXPECT_GE(c.acquires, blocking);
+  EXPECT_LE(c.acquires, 2 * blocking);
+  EXPECT_EQ((c.acquires - blocking) + c.trylock_fails, blocking);
 }
 
 // --- CriUtilization.* (name matches the CI TSan job's test filter) ---

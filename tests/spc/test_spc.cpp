@@ -2,10 +2,18 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
+#include <barrier>
 #include <string>
 #include <thread>
 #include <vector>
+
+#include "fairmpi/common/spinlock.hpp"
+#include "fairmpi/common/thread_slot.hpp"
+#include "fairmpi/debug/lockcheck.hpp"
+#include "fairmpi/obs/contention.hpp"
+#include "fairmpi/obs/utilization.hpp"
 
 namespace fairmpi::spc {
 namespace {
@@ -73,57 +81,52 @@ TEST(Spc, MergeSumsAndMaxes) {
   EXPECT_EQ(a.get(Counter::kOosBufferPeak), 8u);
 }
 
-TEST(Spc, ResetClears) {
+// Threads past the slot registry share the store's overflow block and
+// update it with RMWs. kMaxThreadSlots + 2 threads are alive at once, so at
+// least one of them has no slot; every store they write (the SPCs, a lock
+// class's contention cells, a CRI's utilization cells) must still count
+// exactly.
+TEST(Spc, OverflowThreadsCountExactly) {
+  constexpr int kThreads = common::kMaxThreadSlots + 2;
+  constexpr const char* kClass = "spc.test.overflow";
   CounterSet set;
-  set.add(Counter::kRmaPuts, 3);
-  set.reset();
-  EXPECT_EQ(set.get(Counter::kRmaPuts), 0u);
-}
+  obs::InstanceCounters cri;
+  RankedLock<Spinlock> lock(LockRank::kTestBase, kClass);
+  const auto acquires = [&] {
+    for (const auto& c : obs::contention_snapshot()) {
+      if (c.name == kClass) return c.acquires;
+    }
+    return std::uint64_t{0};
+  };
 
-TEST(Spc, ResetIsRebaseNotDestruction) {
-  CounterSet set;
-  set.add(Counter::kRmaPuts, 10);
-  set.update_max(Counter::kOosBufferPeak, 6);
-  set.reset();
-  // Sums restart from zero and count exactly from the reset point...
-  EXPECT_EQ(set.get(Counter::kRmaPuts), 0u);
-  set.add(Counter::kRmaPuts, 4);
-  EXPECT_EQ(set.get(Counter::kRmaPuts), 4u);
-  // ...high-water marks are lifetime maxima and survive...
-  EXPECT_EQ(set.get(Counter::kOosBufferPeak), 6u);
-  // ...and the underlying cells keep the full history: lifetime totals are
-  // reset-immune, which is what makes delta_since exact across resets.
-  EXPECT_EQ(set.lifetime_snapshot().get(Counter::kRmaPuts), 14u);
-}
-
-// Regression test for the reset()/add() lost-update bug: the old reset()
-// stored zero into the counters, so a fetch_add landing between the store
-// and a racing add simply vanished. The rebase design never writes the
-// cells, so the lifetime total must equal exactly the number of adds no
-// matter how many resets ran concurrently.
-TEST(Spc, ResetConcurrentWithAddsLosesNothing) {
-  CounterSet set;
-  constexpr int kWriters = 4;
-  constexpr int kIters = 100000;
-  std::atomic<bool> stop{false};
+  obs::set_enabled(true);
+  const std::uint64_t acquires_before = acquires();
+  std::atomic<int> unslotted{0};
+  std::barrier all_alive(kThreads);
   std::vector<std::thread> threads;
-  for (int t = 0; t < kWriters; ++t) {
-    threads.emplace_back([&] {
-      for (int i = 0; i < kIters; ++i) set.add(Counter::kRmaPuts);
+  threads.reserve(kThreads);
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      if (common::this_thread_slot() == common::kNoThreadSlot) unslotted.fetch_add(1);
+      // Past this point every thread keeps the slot (or none) it took above.
+      all_alive.arrive_and_wait();
+      set.add(Counter::kRmaPuts, static_cast<std::uint64_t>(t) + 1);
+      set.update_max(Counter::kOosBufferPeak, static_cast<std::uint64_t>(t));
+      {
+        LockGuard guard(lock);
+      }
+      cri.note_injection();
     });
   }
-  std::thread resetter([&] {
-    while (!stop.load(std::memory_order_acquire)) set.reset();
-  });
-  for (auto& t : threads) t.join();
-  stop.store(true, std::memory_order_release);
-  resetter.join();
+  for (auto& th : threads) th.join();
+  obs::set_enabled(false);
 
-  constexpr std::uint64_t kTotal = std::uint64_t{kWriters} * kIters;
-  EXPECT_EQ(set.lifetime_snapshot().get(Counter::kRmaPuts), kTotal);
-  // The rebased view shows only the adds since the last reset — at most
-  // everything, never more (and never negative / wrapped).
-  EXPECT_LE(set.get(Counter::kRmaPuts), kTotal);
+  constexpr std::uint64_t n = kThreads;
+  EXPECT_GE(unslotted.load(), 1);
+  EXPECT_EQ(set.get(Counter::kRmaPuts), n * (n + 1) / 2);
+  EXPECT_EQ(set.get(Counter::kOosBufferPeak), n - 1);
+  EXPECT_EQ(acquires() - acquires_before, n);
+  EXPECT_EQ(cri.snapshot().injections, n);
 }
 
 TEST(Spc, AllCountersHaveDistinctNames) {
@@ -134,14 +137,6 @@ TEST(Spc, AllCountersHaveDistinctNames) {
   }
   std::sort(names.begin(), names.end());
   EXPECT_EQ(std::adjacent_find(names.begin(), names.end()), names.end());
-}
-
-TEST(Spc, ToStringContainsEveryCounter) {
-  CounterSet set;
-  set.add(Counter::kOutOfSequence, 42);
-  const std::string s = set.snapshot().to_string();
-  EXPECT_NE(s.find("OutOfSequence = 42"), std::string::npos);
-  EXPECT_NE(s.find("MatchTimeNs"), std::string::npos);
 }
 
 }  // namespace

@@ -137,9 +137,15 @@ HOTPATH_FILES = {
     "src/p2p/reliability.cpp",
     "src/progress/watchdog.cpp",
     "src/fabric/faults.cpp",
+    # The counter store behind the SPCs, the contention profiler and the
+    # per-CRI utilization: every message and lock acquisition updates it.
+    # The only allocation allowed is the store's annotated first-touch block
+    # allocation in sharded_cells.hpp.
+    "include/fairmpi/common/sharded_cells.hpp",
+    "include/fairmpi/spc/spc.hpp",
+    "src/spc/spc.cpp",
     # Observability hooks run inside every lock acquisition and every CRI
-    # drain; the only allocation allowed is the annotated first-touch shard
-    # allocation in contention.cpp.
+    # drain.
     "src/obs/contention.cpp",
     "include/fairmpi/obs/contention.hpp",
     "include/fairmpi/obs/utilization.hpp",

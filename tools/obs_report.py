@@ -199,7 +199,7 @@ def report_obs(path: str, require_wait: list[str]) -> None:
         ])
     print("lock contention (by wait time):")
     print(render_table(
-        ["class", "rank", "acquires", "contended", "cont%", "wait", "trylock-fails"],
+        ["class", "lock rank", "acquires", "contended", "cont%", "wait", "trylock-fails"],
         rows))
     print()
 
