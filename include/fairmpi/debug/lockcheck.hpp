@@ -63,14 +63,12 @@ enum class LockRank : std::uint16_t {
   kProgressGate = 10,   ///< progress::ProgressEngine serial gate
   kCriInstance = 20,    ///< cri::CommResourceInstance lock
   kFtDetector = 25,     ///< ft::FailureDetector peer-liveness table (note_alive
-                        ///< runs from packet dispatch, which progress_instance_
-                        ///< locked executes under a CRI lock — so above 20; the
-                        ///< poll collects under it and acts lock-free, so it
+                        ///< is a lock-free store from packet dispatch, which
+                        ///< runs after the CRI lock is released; the poll
+                        ///< collects under it and acts lock-free, so it
                         ///< acquires nothing and sits below match)
   kMatch = 30,          ///< match::MatchEngine per-communicator lock
   kRmaAccumulate = 40,  ///< rma::Window accumulate stripe locks
-  kWatchdog = 42,       ///< progress::Watchdog sweep state (acquires the
-                        ///< rndv registries, rank 50, while held — so below)
   kRmaSlots = 45,       ///< rma::Window pending-slot vector lock
   kReliability = 47,    ///< p2p::ReliabilityTracker in-flight table (taken
                         ///< under CRI/match locks on the tracked-send path)

@@ -28,13 +28,13 @@
 // wall-clock detection latency is not (it is recorded in a histogram for
 // dump_observability()).
 //
-// Lock discipline: note_alive is one relaxed store (it runs on the packet
-// dispatch path, which progress_instance_locked executes under a CRI lock).
-// poll() try-locks the detector table (rank kFtDetector, 25 — above the CRI
-// locks for the same reason), *collects* probe targets and newly confirmed
-// deaths under it, and returns; the caller injects heartbeats and runs
-// failure propagation with no detector lock held. is_dead()/suspect hint
-// are lock-free reads for the send paths and the watchdog.
+// Lock discipline: note_alive is one relaxed store and takes no lock (it
+// runs on the packet dispatch path, after the CRI lock is released).
+// poll() try-locks the detector table (rank kFtDetector, 25), *collects*
+// probe targets and newly confirmed deaths under it, and returns; the
+// caller injects heartbeats and runs failure propagation with no detector
+// lock held. is_dead()/suspect hint are lock-free reads for the send paths
+// and the watchdog.
 #pragma once
 
 #include <array>

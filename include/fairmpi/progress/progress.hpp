@@ -11,19 +11,22 @@
 //   * kConcurrent — Algorithm 2: every thread may progress. A thread
 //     try-locks its *own* instance first (per the pool's assignment
 //     policy); only when that instance yields no completions does it sweep
-//     the other instances round-robin, which both avoids convoying and
-//     guarantees that orphaned instances (e.g. whose dedicated thread
-//     exited) are still progressed eventually.
-// Lock-scope discipline: progress drains an instance's CQ and RX ring into
-// stack buffers *while holding the CRI lock*, then releases it and hands the
-// batch to the sink (matching, completion owners) lock-free. The instance
-// lock therefore covers only ring pops — a few hundred ns for a full batch —
-// instead of the whole matching pipeline, which is where Algorithm 2's
-// try-lock sweep was previously losing its concurrency. Dispatch order
-// within a batch is preserved (completions first, packets in arrival
+//     the others in `own + 1, own + 2, ...` order, which both avoids
+//     convoying and guarantees that orphaned instances (e.g. whose
+//     dedicated thread exited) are still progressed eventually. The RMA
+//     flush runs the same pass in either mode (own_first_pass).
+//
+// Lock-scope discipline: every instance visit — serial, concurrent or
+// flush — is one step (visit): acquire the CRI lock, pop the CQ and RX ring
+// into a stack batch, release, then hand the batch to the sink (matching,
+// completion owners). No packet or completion is dispatched while an
+// instance lock is held, so the lock covers only ring pops — a few hundred
+// ns for a full batch — instead of the whole matching pipeline. The batch
+// itself is built once per call before any instance lock is taken. Dispatch
+// order within a batch is preserved (completions first, packets in arrival
 // order); cross-batch interleaving with other progress threads is exactly
-// as arbitrary as the fabric already is, and the matching engine's sequence
-// validation owns ordering correctness.
+// as arbitrary as the fabric already is, and the matching engine's
+// sequence validation owns ordering correctness.
 #pragma once
 
 #include <array>
@@ -79,12 +82,22 @@ class ProgressEngine {
   /// (0 does not imply quiescence — the engine may have been busy).
   std::size_t progress();
 
-  /// Drain one instance's CQ and RX ring and dispatch inline. The instance
-  /// lock must be held by the caller (dispatch therefore runs under it —
-  /// unavoidable here). Exposed for the RMA flush path, which polls its own
-  /// instance directly (as btl-level flush does in Open MPI).
-  std::size_t progress_instance_locked(cri::CommResourceInstance& inst)
-      FAIRMPI_REQUIRES(inst.lock());
+  /// What own_first_pass does when every instance's try-lock fails.
+  enum class WhenAllBusy {
+    kReturn,     ///< return 0 (concurrent progress: the caller loops)
+    kBlockOnOwn, ///< count kRmaFlushAllBusy, then block (timed, charged to
+                 ///< kInstanceLockWaitNs) on the calling thread's own
+                 ///< instance and visit it (the RMA flush)
+  };
+
+  /// Algorithm 2's pass: try-lock the calling thread's own instance and
+  /// visit it; sweep the others only while the pass has yielded nothing.
+  /// Each failed try-lock counts kInstanceTrylockFail, and a miss on the
+  /// own instance also its utilization's own-trylock miss. Concurrent
+  /// progress() is this pass with kReturn; the RMA flush calls it with
+  /// kBlockOnOwn in either progress mode. Returns completions harvested;
+  /// does not count kProgressCalls.
+  std::size_t own_first_pass(WhenAllBusy when_all_busy);
 
   /// Hard cap on one drain batch (the stack buffer size); the runtime
   /// `batch` knob is clamped to it.
@@ -92,7 +105,8 @@ class ProgressEngine {
 
  private:
   /// One instance visit's haul, staged on the caller's stack so dispatch
-  /// can happen after the instance lock is dropped.
+  /// can happen after the instance lock is dropped. Built once per call,
+  /// before any instance lock, and reused by each of the call's visits.
   struct DrainBatch {
     std::array<fabric::Completion, kMaxDrainBatch> comps;
     std::array<fabric::Packet, kMaxDrainBatch> pkts;
@@ -100,18 +114,32 @@ class ProgressEngine {
     std::size_t n_pkts = 0;
   };
 
+  /// How visit() acquires the instance lock.
+  enum class Acquire {
+    kTry,    ///< try_lock; a held lock is a miss, not a wait
+    kBlock,  ///< blocking acquire (serial progress, under its gate)
+    kTimed,  ///< CommResourceInstance::lock_timed (all-busy flush)
+  };
+  /// visit()'s result when an Acquire::kTry finds the lock held.
+  static constexpr std::size_t kBusy = ~std::size_t{0};
+
+  /// The one instance visit: acquire `inst`'s lock as `how` says, pop a
+  /// batch into `b`, release, note the drain, dispatch. Returns the
+  /// completions dispatched, or kBusy after counting a failed try-lock
+  /// (and, unless `sweep`, the instance's own-trylock miss).
+  std::size_t visit(cri::CommResourceInstance& inst, DrainBatch& b, Acquire how,
+                    bool sweep);
   /// Pop up to a batch of completions + packets. Instance lock held.
   void drain_locked(cri::CommResourceInstance& inst, DrainBatch& b)
       FAIRMPI_REQUIRES(inst.lock());
   /// Observability bookkeeping for one finished drain visit (lock already
   /// released): per-instance counters + the kCriDrain trace event.
   void note_drain(cri::CommResourceInstance& inst, const DrainBatch& b, bool sweep);
-  /// Hand a drained batch to the sink; returns completions. No locks held
-  /// (the sink takes the match lock itself).
+  /// Hand a drained batch to the sink; returns completions. No instance
+  /// lock held (the sink takes the match lock itself).
   std::size_t dispatch(DrainBatch& b);
 
   std::size_t progress_serial();
-  std::size_t progress_concurrent();
 
   cri::CriPool& pool_;
   PacketSink& sink_;

@@ -14,9 +14,11 @@
 //   2. trace::Event::kWatchdogStall
 //   3. the rank's error sink (common::Error, typed)
 //
-// Lock discipline: poll() try-locks its own state (rank kWatchdog, 42) so
-// concurrent progress threads never convoy on it, and may acquire the
-// rendezvous registries (rank 50) while held — never any CRI or match lock.
+// Lock discipline: the watchdog has no lock of its own. poll() is not
+// thread-safe; its one in-library caller, Rank::run_timed_work, runs it
+// under the rank's runner claim, which admits one thread at a time. A sweep
+// may acquire the rendezvous registries (rank 50) through the StallProbe —
+// never any CRI or match lock.
 #pragma once
 
 #include <atomic>
@@ -24,18 +26,14 @@
 #include <vector>
 
 #include "fairmpi/common/error.hpp"
-#include "fairmpi/common/spinlock.hpp"
 #include "fairmpi/cri/cri.hpp"
-#include "fairmpi/debug/lockcheck.hpp"
-#include "fairmpi/debug/thread_safety.hpp"
 #include "fairmpi/spc/spc.hpp"
 #include "fairmpi/trace/trace.hpp"
 
 namespace fairmpi::progress {
 
 /// Extra stall sources the owning rank contributes (stuck rendezvous);
-/// called with the watchdog lock held, so implementations may take locks
-/// ranked above kWatchdog only.
+/// called from poll(), so from a thread holding no engine lock.
 class StallProbe {
  public:
   virtual ~StallProbe() = default;
@@ -71,8 +69,8 @@ class Watchdog {
   }
 
   /// One watchdog sweep; returns the number of stalls escalated (0 almost
-  /// always — including when another thread holds the sweep lock). Not
-  /// gated: the owning rank's timed-work runner calls it once per
+  /// always). Not gated and not thread-safe: the owning rank's timed-work
+  /// runner calls it, one thread at a time, once per
   /// Config::watchdog_interval_ns.
   std::size_t poll(std::uint64_t now_ns);
 
@@ -95,8 +93,7 @@ class Watchdog {
   StallProbe* probe_ = nullptr;
   const std::atomic<int>* suspect_hint_ = nullptr;  ///< ft detector's, or null
 
-  RankedLock<Spinlock> lock_{debug::LockRank::kWatchdog, "progress.watchdog"};
-  std::vector<InstanceState> instances_ FAIRMPI_GUARDED_BY(lock_);
+  std::vector<InstanceState> instances_;
 };
 
 }  // namespace fairmpi::progress

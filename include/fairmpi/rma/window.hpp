@@ -8,11 +8,13 @@
 // Completion model: an operation performs its data movement at initiation
 // (the simulated NIC is the calling thread) and posts a completion event to
 // the initiating CRI's completion queue; `flush*` drains CQs until the
-// window's pending-operation count returns to zero. As in Open MPI's
-// btl-level flush, draining polls the caller's own instance first and sweeps
-// the others only while its own yields nothing — independent of the
-// two-sided progress design, which is why the paper sees little difference
-// between serial and concurrent progress for RMA.
+// window's pending-operation count returns to zero. Draining is the progress
+// engine's own-instance-first pass (ProgressEngine::own_first_pass, Alg. 2)
+// in either progress mode: the caller's own instance first, the others only
+// while its own yields nothing, each batch dispatched after the instance
+// lock is released. As in Open MPI's btl-level flush this is independent of
+// the two-sided progress design, which is why the paper sees little
+// difference between serial and concurrent progress for RMA.
 //
 // Synchronization: flush orders RMA completion; making the *results* visible
 // to another thread still requires a happens-before edge (barrier, message,
@@ -124,10 +126,6 @@ class Window {
   };
   /// The calling thread's slot (created on first use, sticky thereafter).
   PendingSlot& thread_slot();
-  /// Drain instance CQs until `done(...)` is satisfied.
-  template <typename DonePredicate>
-  void drain_until(DonePredicate done);
-
   /// Post one completion to `inst`'s CQ, draining inline if the CQ is full.
   void post_completion(cri::CommResourceInstance& inst);
 

@@ -54,10 +54,24 @@ std::size_t ProgressEngine::dispatch(DrainBatch& b) {
   return completions;
 }
 
-std::size_t ProgressEngine::progress_instance_locked(cri::CommResourceInstance& inst) {
-  DrainBatch b;
-  drain_locked(inst, b);
-  note_drain(inst, b, /*sweep=*/false);
+std::size_t ProgressEngine::visit(cri::CommResourceInstance& inst, DrainBatch& b,
+                                  Acquire how, bool sweep) {
+  if (how == Acquire::kTry) {
+    if (!inst.lock().try_lock()) {
+      spc_.add(Counter::kInstanceTrylockFail);
+      if (!sweep) inst.stats().note_own_trylock_miss();
+      return kBusy;
+    }
+  } else if (how == Acquire::kTimed) {
+    inst.lock_timed(spc_);
+  } else {
+    inst.lock().lock();
+  }
+  {
+    LockGuard adopt(inst.lock(), adopt_lock);
+    drain_locked(inst, b);
+  }
+  note_drain(inst, b, sweep);
   return dispatch(b);
 }
 
@@ -69,69 +83,44 @@ std::size_t ProgressEngine::progress_serial() {
   }
   LockGuard adopt(serial_gate_, adopt_lock);
 
+  // The gate already excludes other progress threads, but send paths also
+  // take instance locks, so each visit still locks its instance.
+  DrainBatch b;
   std::size_t completions = 0;
   for (int i = 0; i < pool_.size(); ++i) {
-    cri::CommResourceInstance& inst = pool_.instance(i);
-    DrainBatch b;
-    {
-      // The gate already excludes other progress threads, but send paths
-      // also take instance locks, so each instance is still locked
-      // individually — only for the ring pops, not the dispatch.
-      LockGuard guard(inst.lock());
-      drain_locked(inst, b);
-    }
-    note_drain(inst, b, /*sweep=*/false);
-    completions += dispatch(b);
+    completions += visit(pool_.instance(i), b, Acquire::kBlock, /*sweep=*/false);
   }
   return completions;
 }
 
-std::size_t ProgressEngine::progress_concurrent() {
-  // Algorithm 2. Own instance first...
-  std::size_t completions = 0;
+std::size_t ProgressEngine::own_first_pass(WhenAllBusy when_all_busy) {
+  DrainBatch b;
+  const int n = pool_.size();
   const int own = pool_.id_for_thread();
-  {
-    cri::CommResourceInstance& inst = pool_.instance(own);
-    if (inst.lock().try_lock()) {
-      DrainBatch b;
-      {
-        LockGuard adopt(inst.lock(), adopt_lock);
-        drain_locked(inst, b);
-      }
-      note_drain(inst, b, /*sweep=*/false);
-      completions = dispatch(b);
-    } else {
-      spc_.add(Counter::kInstanceTrylockFail);
-      inst.stats().note_own_trylock_miss();
-    }
+  std::size_t completions = 0;
+  bool visited = false;
+  // Own instance first; the others (orphaned-CRI liveness) only while the
+  // pass has yielded nothing.
+  for (int i = 0; i < n && completions == 0; ++i) {
+    const std::size_t got =
+        visit(pool_.instance((own + i) % n), b, Acquire::kTry, /*sweep=*/i != 0);
+    if (got == kBusy) continue;
+    visited = true;
+    completions = got;
   }
-  // ... and only if it yielded nothing, sweep the others (guaranteeing
-  // every instance is progressed eventually — orphaned-CRI liveness).
-  if (completions == 0) {
-    for (int i = 0; i < pool_.size(); ++i) {
-      const int k = pool_.next_round_robin();
-      cri::CommResourceInstance& inst = pool_.instance(k);
-      if (!inst.lock().try_lock()) {
-        spc_.add(Counter::kInstanceTrylockFail);
-        continue;
-      }
-      DrainBatch b;
-      {
-        LockGuard adopt(inst.lock(), adopt_lock);
-        drain_locked(inst, b);
-      }
-      note_drain(inst, b, /*sweep=*/k != own);
-      completions = dispatch(b);
-      if (completions > 0) break;
-    }
-  }
-  return completions;
+  if (visited || when_all_busy == WhenAllBusy::kReturn) return completions;
+  // Every instance busy: stop try-locking and wait out our own instance's
+  // holder. Bounded: an instance lock covers ring pops, an injection or an
+  // RMA op, never dispatch or user code.
+  spc_.add(Counter::kRmaFlushAllBusy);
+  return visit(pool_.instance(own), b, Acquire::kTimed, /*sweep=*/false);
 }
 
 std::size_t ProgressEngine::progress() {
   spc_.add(Counter::kProgressCalls);
-  const std::size_t completions =
-      mode_ == ProgressMode::kSerial ? progress_serial() : progress_concurrent();
+  const std::size_t completions = mode_ == ProgressMode::kSerial
+                                      ? progress_serial()
+                                      : own_first_pass(WhenAllBusy::kReturn);
   if (completions != 0) spc_.add(Counter::kProgressCompletions, completions);
   return completions;
 }

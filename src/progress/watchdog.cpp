@@ -15,9 +15,6 @@ Watchdog::Watchdog(cri::CriPool& pool, spc::CounterSet& counters,
 }
 
 std::size_t Watchdog::poll(std::uint64_t now_ns) {
-  if (!lock_.try_lock()) return 0;  // another thread is sweeping
-  LockGuard adopt(lock_, adopt_lock);
-
   std::size_t flagged = 0;
   for (int i = 0; i < pool_.size(); ++i) {
     fabric::NetworkContext& ctx = pool_.instance(i).context();

@@ -10,6 +10,10 @@ namespace fairmpi::rma {
 using spc::Counter;
 
 namespace {
+// A flush drains through Alg. 2's own-instance-first pass in either
+// progress mode, blocking on its own instance when every instance is busy.
+constexpr auto kBlockOnOwn = progress::ProgressEngine::WhenAllBusy::kBlockOnOwn;
+
 std::atomic<std::uint64_t> g_next_window_key{0};
 }  // namespace
 
@@ -147,45 +151,6 @@ std::uint64_t Window::fetch_add_u64(int target, std::size_t disp, std::uint64_t 
   return old;
 }
 
-template <typename DonePredicate>
-void Window::drain_until(DonePredicate done) {
-  cri::CriPool& pool = rank_->pool();
-  while (!done()) {
-    // Own instance first (Alg. 2's affinity); sweep the others only while
-    // it yields nothing. A thread's completions usually sit on the instance
-    // it injected through, so any visited instance that yields completions
-    // restarts the pass at our own: draining the next initiator's CQ after
-    // a partial drain of ours would contend with its puts for no gain.
-    const int own = pool.id_for_thread();
-    bool polled = false;
-    for (int i = 0; i < pool.size(); ++i) {
-      const int k = (own + i) % pool.size();
-      cri::CommResourceInstance& inst = pool.instance(k);
-      if (!inst.lock().try_lock()) {
-        rank_->counters().add(Counter::kInstanceTrylockFail);
-        continue;
-      }
-      polled = true;
-      std::size_t completions = 0;
-      {
-        LockGuard adopt(inst.lock(), adopt_lock);
-        completions = rank_->engine().progress_instance_locked(inst);
-      }
-      if (completions != 0 || done()) break;
-    }
-    if (polled) continue;
-    // Every instance busy: record the miss, then stop try-locking and block
-    // on our own instance (timed, so the wait is attributed like every
-    // other contended acquire) and drain it for real. Bounded: the hold we
-    // are waiting out is a ring pop or an RMA op, never unbounded user code.
-    rank_->counters().add(Counter::kRmaFlushAllBusy);
-    cri::CommResourceInstance& inst = pool.instance(own);
-    inst.lock_timed(rank_->counters());
-    LockGuard adopt(inst.lock(), adopt_lock);
-    rank_->engine().progress_instance_locked(inst);
-  }
-}
-
 void Window::flush(int target) {
   (void)target;  // pending ops are tracked per thread, not per target
   flush_all();
@@ -197,12 +162,14 @@ void Window::flush_all() {
   rank_->tracer().record(
       trace::Event::kRmaFlush,
       static_cast<std::uint32_t>(slot.count->load(std::memory_order_relaxed)));
-  drain_until([&slot] { return slot.count->load(std::memory_order_acquire) == 0; });
+  while (slot.count->load(std::memory_order_acquire) != 0) {
+    rank_->engine().own_first_pass(kBlockOnOwn);
+  }
 }
 
 void Window::flush_process() {
   rank_->counters().add(Counter::kRmaFlushes);
-  drain_until([this] { return pending() == 0; });
+  while (pending() != 0) rank_->engine().own_first_pass(kBlockOnOwn);
 }
 
 void Window::lock_all() noexcept {

@@ -8,14 +8,14 @@
 #include <gtest/gtest.h>
 
 #include <chrono>
-#include <cstdlib>
 #include <cstring>
-#include <string>
 #include <thread>
 #include <vector>
 
 #include "fairmpi/common/timing.hpp"
 #include "fairmpi/core/universe.hpp"
+
+#include "../chaos_env.hpp"
 
 namespace fairmpi {
 namespace {
@@ -23,41 +23,6 @@ namespace {
 using common::Error;
 using common::ErrorCode;
 using spc::Counter;
-
-/// Unsets the chaos/reliability environment for the lifetime of a test and
-/// restores it afterwards, so this file's programmatic fault configs are
-/// authoritative no matter what profile ctest runs under.
-class ScopedChaosEnvClear {
- public:
-  ScopedChaosEnvClear() {
-    for (const char* name : kVars) {
-      const char* value = std::getenv(name);
-      saved_.emplace_back(name, value == nullptr ? std::string()
-                                                 : std::string(value));
-      if (value != nullptr) ::unsetenv(name);
-    }
-  }
-  ~ScopedChaosEnvClear() {
-    for (const auto& [name, value] : saved_) {
-      if (!value.empty()) ::setenv(name, value.c_str(), 1);
-    }
-  }
-
- private:
-  static constexpr const char* kVars[] = {
-      "FAIRMPI_FAULT_DROP",      "FAIRMPI_FAULT_DUP",
-      "FAIRMPI_FAULT_DELAY",     "FAIRMPI_FAULT_REORDER",
-      "FAIRMPI_FAULT_CORRUPT",   "FAIRMPI_FAULT_SEED",
-      "FAIRMPI_RELIABLE",        "FAIRMPI_RTO_NS",
-      "FAIRMPI_RTO_MAX_NS",      "FAIRMPI_MAX_RETRIES",
-      "FAIRMPI_RELIABILITY_WINDOW", "FAIRMPI_SEND_RETRY_LIMIT",
-      "FAIRMPI_WATCHDOG_INTERVAL_NS", "FAIRMPI_WATCHDOG_STALL_SWEEPS",
-      "FAIRMPI_RNDV_STALL_NS",   "FAIRMPI_FT",
-      "FAIRMPI_FT_HEARTBEAT_NS", "FAIRMPI_FT_SUSPECT_NS",
-      "FAIRMPI_FT_STRIKES",
-  };
-  std::vector<std::pair<const char*, std::string>> saved_;
-};
 
 Config lossy_config() {
   Config cfg;

@@ -3,6 +3,7 @@
 
 #include <atomic>
 #include <barrier>
+#include <chrono>
 #include <cstring>
 #include <numeric>
 #include <thread>
@@ -255,6 +256,36 @@ TEST_F(RmaTest, FlushLeavesOtherInitiatorsCompletions) {
   EXPECT_EQ(win.pending(), kOthers);
   win.flush_process();
   EXPECT_EQ(win.pending(), 0u);
+}
+
+TEST_F(RmaTest, FlushWithEveryInstanceBusyBlocksOnItsOwn) {
+  // A helper holds the only instance lock while this thread flushes a
+  // pending put: every try-lock misses, so the flush must count
+  // kRmaFlushAllBusy, block on its own instance, and complete once the
+  // helper (which waits for that count) releases it.
+  build(Config{});
+  rma::Window& win = group_->window(0);
+  const char byte = 'x';
+  win.put(/*target=*/1, /*disp=*/0, &byte, 1);
+  Rank& rank = uni_->rank(0);
+  std::atomic<bool> held{false};
+  std::thread helper([&] {
+    rank.pool().instance(0).lock().lock();
+    held.store(true, std::memory_order_release);
+    // Bounded, so a flush that never counts the miss fails instead of hanging.
+    const auto give_up = std::chrono::steady_clock::now() + std::chrono::seconds(10);
+    while (rank.counters().get(Counter::kRmaFlushAllBusy) == 0 &&
+           std::chrono::steady_clock::now() < give_up) {
+      std::this_thread::yield();
+    }
+    rank.pool().instance(0).lock().unlock();
+  });
+  while (!held.load(std::memory_order_acquire)) std::this_thread::yield();
+  win.flush_all();
+  helper.join();
+  EXPECT_EQ(rank.counters().get(Counter::kRmaFlushAllBusy), 1u);
+  EXPECT_EQ(win.pending(), 0u);
+  EXPECT_EQ(regions_[1][0], std::byte{'x'});
 }
 
 TEST_F(RmaTest, FenceSynchronizesEpochs) {

@@ -6,44 +6,16 @@
 #include <array>
 #include <atomic>
 #include <cstdint>
-#include <cstdlib>
-#include <string>
 #include <thread>
-#include <utility>
 #include <vector>
 
 #include "fairmpi/core/universe.hpp"
 #include "fairmpi/obs/utilization.hpp"
 
+#include "../chaos_env.hpp"
+
 namespace fairmpi {
 namespace {
-
-/// Unsets the fault/reliability environment for the test's lifetime: the
-/// drain counts below assume one packet per message on a lossless fabric,
-/// while the chaos legs replay the suite with retransmits and acks.
-class ScopedChaosEnvClear {
- public:
-  ScopedChaosEnvClear() {
-    for (const char* name : kVars) {
-      const char* value = std::getenv(name);
-      saved_.emplace_back(name, value == nullptr ? std::string() : std::string(value));
-      if (value != nullptr) ::unsetenv(name);
-    }
-  }
-  ~ScopedChaosEnvClear() {
-    for (const auto& [name, value] : saved_) {
-      if (!value.empty()) ::setenv(name, value.c_str(), 1);
-    }
-  }
-
- private:
-  static constexpr const char* kVars[] = {
-      "FAIRMPI_FAULT_DROP",    "FAIRMPI_FAULT_DUP",     "FAIRMPI_FAULT_DELAY",
-      "FAIRMPI_FAULT_REORDER", "FAIRMPI_FAULT_CORRUPT", "FAIRMPI_FAULT_SEED",
-      "FAIRMPI_RELIABLE",      "FAIRMPI_FT",
-  };
-  std::vector<std::pair<const char*, std::string>> saved_;
-};
 
 /// obs on for the scope (the per-instance drain counters need it), off
 /// again afterwards so later tests in the process see the default.
@@ -65,7 +37,7 @@ std::uint64_t drained(Universe& uni, int rank, int instance) {
 // own receiver's instance and every window ack from its own sender's.
 // The pairs carry different message counts so a swap cannot cancel out.
 TEST(Steering, CrossedPairsDrainOnTheirReceiversInstance) {
-  ScopedChaosEnvClear env;
+  ScopedChaosEnvClear env;  // the drain counts assume one packet per message
   ObsScope obs_scope;
   Config cfg;
   cfg.num_ranks = 2;

@@ -13,7 +13,6 @@
 #include <atomic>
 #include <chrono>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <sstream>
 #include <string>
@@ -26,37 +25,10 @@
 #include "fairmpi/obs/contention.hpp"
 #include "fairmpi/obs/utilization.hpp"
 
+#include "../chaos_env.hpp"
+
 namespace fairmpi {
 namespace {
-
-/// Unsets the chaos fault-injection environment for the lifetime of a test
-/// and restores it afterwards (same idiom as test_chaos.cpp): the
-/// conservation assertions below equate injections with messages sent,
-/// which only holds on a pristine fabric — a retransmitting universe
-/// injects the same message several times by design.
-class ScopedChaosEnvClear {
- public:
-  ScopedChaosEnvClear() {
-    for (const char* name : kVars) {
-      const char* value = std::getenv(name);
-      saved_.emplace_back(name, value == nullptr ? std::string() : std::string(value));
-      if (value != nullptr) ::unsetenv(name);
-    }
-  }
-  ~ScopedChaosEnvClear() {
-    for (const auto& [name, value] : saved_) {
-      if (!value.empty()) ::setenv(name, value.c_str(), 1);
-    }
-  }
-
- private:
-  static constexpr const char* kVars[] = {
-      "FAIRMPI_FAULT_DROP",    "FAIRMPI_FAULT_DUP",  "FAIRMPI_FAULT_DELAY",
-      "FAIRMPI_FAULT_REORDER", "FAIRMPI_FAULT_CORRUPT", "FAIRMPI_FAULT_SEED",
-      "FAIRMPI_RELIABLE",
-  };
-  std::vector<std::pair<const char*, std::string>> saved_;
-};
 
 /// RAII: obs on for the scope.
 struct ObsScope {

@@ -21,6 +21,8 @@
 #include "fairmpi/core/universe.hpp"
 #include "fairmpi/fabric/wire.hpp"
 
+#include "../chaos_env.hpp"
+
 namespace fairmpi {
 namespace {
 
@@ -62,6 +64,7 @@ struct ErrorCapture {
 // --- bounded admission: kShed (receiver drops + NACKs) ---
 
 TEST(Overload, ShedFloodExactAccounting) {
+  ScopedChaosEnvClear env;  // the fault and timeout profile below is authoritative
   // One producer floods a consumer that posts nothing: the first `cap`
   // messages park as unexpected, every later one is shed and NACKed. The
   // flood must stay fully accounted: admitted + shed == sent, every shed
@@ -144,6 +147,7 @@ TEST(Overload, ShedFloodExactAccounting) {
 }
 
 TEST(Overload, ShedMultiProducerPerPeerCap) {
+  ScopedChaosEnvClear env;  // the fault and timeout profile below is authoritative
   // 3 producers vs 1 slow consumer (the seeded 4:1 incast): the cap is
   // per-peer, so each producer gets its own admitted quota and its own
   // shed count; the totals must still balance exactly.
@@ -284,6 +288,7 @@ TEST(Overload, QueuePolicyBoundsQueueWithoutLoss) {
 // --- sender-side admission: payload-pool and tracker caps ---
 
 TEST(Overload, PoolCapShedFailsLocalTyped) {
+  ScopedChaosEnvClear env;  // the fault and timeout profile below is authoritative
   fabric::reset_payload_pool_high_water();
   Config cfg;
   cfg.payload_pool_cap_bytes = 1;  // any charged payload saturates the cap
@@ -597,6 +602,7 @@ TEST(Deadline, CheckedOpsHonourConfigDeadline) {
 // --- quiesce timeout diagnostics + observability surface ---
 
 TEST(Overload, QuiesceTimeoutReportsBacklog) {
+  ScopedChaosEnvClear env;  // the fault and timeout profile below is authoritative
   // A fully lossy fabric strands tracked entries, so quiesce cannot drain:
   // it must fail AND say why — a typed kQuiesceTimeout per backlogged rank
   // with the resource counts packed into Error::detail.

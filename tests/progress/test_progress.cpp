@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <thread>
 #include <utility>
 #include <vector>
@@ -20,10 +21,12 @@ fabric::Packet make_pkt(std::uint32_t seq) {
 }
 
 /// Counts extractions; optionally blocks inside handle_packet to probe
-/// mutual-exclusion properties of the engine designs.
+/// mutual-exclusion properties of the engine designs, and optionally checks
+/// that no instance lock of `unlocked_pool` is held during dispatch.
 class CountingSink : public PacketSink {
  public:
   std::size_t handle_packet(fabric::Packet&&) override {
+    expect_no_instance_locked();
     packets.fetch_add(1, std::memory_order_relaxed);
     if (hold_ns > 0) {
       const auto start = std::chrono::steady_clock::now();
@@ -36,13 +39,23 @@ class CountingSink : public PacketSink {
     return 1;
   }
   std::size_t handle_completion(const fabric::Completion&) override {
+    expect_no_instance_locked();
     completions.fetch_add(1, std::memory_order_relaxed);
     return 1;
+  }
+
+  void expect_no_instance_locked() {
+    if (unlocked_pool == nullptr) return;
+    for (int i = 0; i < unlocked_pool->size(); ++i) {
+      EXPECT_FALSE(unlocked_pool->instance(i).lock().underlying().is_locked())
+          << "dispatch while instance " << i << " is locked";
+    }
   }
 
   std::atomic<std::size_t> packets{0};
   std::atomic<std::size_t> completions{0};
   long hold_ns = 0;
+  cri::CriPool* unlocked_pool = nullptr;
   std::atomic<int> concurrent_now{0};
   std::atomic<int> max_concurrent{0};
 };
@@ -50,6 +63,8 @@ class CountingSink : public PacketSink {
 class ProgressTest : public ::testing::Test {
  protected:
   void build(int instances, cri::Assignment assign, ProgressMode mode, int batch = 64) {
+    engine_.reset();
+    pool_.reset();
     fabric_ = std::make_unique<fabric::Fabric>(std::vector<int>{instances});
     pool_ = std::make_unique<cri::CriPool>(*fabric_, 0, assign);
     engine_ = std::make_unique<ProgressEngine>(*pool_, sink_, mode, spc_, batch);
@@ -58,6 +73,14 @@ class ProgressTest : public ::testing::Test {
   void inject(int ctx, int count) {
     for (int i = 0; i < count; ++i) {
       ASSERT_TRUE(fabric_->nic(0).context(ctx).rx().try_push(make_pkt(0)));
+    }
+  }
+
+  /// One completion and one packet on each of the first `instances`.
+  void load(int instances) {
+    for (int i = 0; i < instances; ++i) {
+      ASSERT_TRUE(fabric_->nic(0).context(i).cq().try_push(fabric::Completion{}));
+      inject(i, 1);
     }
   }
 
@@ -149,6 +172,54 @@ TEST_F(ProgressTest, ConcurrentSkipsLockedInstanceAndMovesOn) {
   EXPECT_EQ(engine_->progress(), 1u);
   pool_->instance(own).lock().unlock();
   EXPECT_GE(spc_.get(Counter::kInstanceTrylockFail), 1u);
+}
+
+TEST_F(ProgressTest, DispatchHoldsNoInstanceLock) {
+  // Every drain path hands its batch to the sink only after releasing the
+  // instance lock: serial progress, concurrent progress, and the RMA
+  // flush's pass, including its all-busy blocking visit.
+  using WhenAllBusy = ProgressEngine::WhenAllBusy;
+  build(2, cri::Assignment::kDedicated, ProgressMode::kSerial);
+  sink_.unlocked_pool = pool_.get();
+  load(2);
+  EXPECT_EQ(engine_->progress(), 4u);
+
+  build(2, cri::Assignment::kDedicated, ProgressMode::kConcurrent);
+  sink_.unlocked_pool = pool_.get();
+  load(2);
+  std::size_t total = 0;
+  for (int i = 0; i < 4 && total < 4; ++i) total += engine_->progress();
+  EXPECT_EQ(total, 4u);
+  load(2);
+  total = 0;
+  for (int i = 0; i < 4 && total < 4; ++i) {
+    total += engine_->own_first_pass(WhenAllBusy::kBlockOnOwn);
+  }
+  EXPECT_EQ(total, 4u);
+  EXPECT_EQ(spc_.get(Counter::kRmaFlushAllBusy), 0u);
+
+  // All busy: a helper holds the only instance's lock until the pass has
+  // counted the miss, so the pass must block on it and then visit it.
+  build(1, cri::Assignment::kDedicated, ProgressMode::kConcurrent);
+  sink_.unlocked_pool = pool_.get();
+  load(1);
+  std::atomic<bool> held{false};
+  std::thread helper([&] {
+    pool_->instance(0).lock().lock();
+    held.store(true, std::memory_order_release);
+    // Bounded, so a pass that never counts the miss fails instead of hanging.
+    const auto give_up = std::chrono::steady_clock::now() + std::chrono::seconds(10);
+    while (spc_.get(Counter::kRmaFlushAllBusy) == 0 &&
+           std::chrono::steady_clock::now() < give_up) {
+      std::this_thread::yield();
+    }
+    pool_->instance(0).lock().unlock();
+  });
+  while (!held.load(std::memory_order_acquire)) std::this_thread::yield();
+  EXPECT_EQ(engine_->own_first_pass(WhenAllBusy::kBlockOnOwn), 2u);
+  helper.join();
+  EXPECT_EQ(spc_.get(Counter::kRmaFlushAllBusy), 1u);
+  EXPECT_EQ(sink_.completions.load() + sink_.packets.load(), 14u);
 }
 
 TEST_F(ProgressTest, CompletionQueueDrainedBeforePackets) {
