@@ -131,7 +131,7 @@ void BM_EndpointInjection(benchmark::State& state) {
     pkt.hdr.opcode = Opcode::kEager;
     benchmark::DoNotOptimize(ep.try_send(std::move(pkt)));
     Packet out;
-    rx.try_pop(out);
+    rx.try_pop_n(&out, 1);
   }
   state.SetItemsProcessed(state.iterations());
 }

@@ -31,9 +31,6 @@ struct Config {
   /// Applies to every communicator created in this universe.
   bool allow_overtaking = false;
 
-  /// Max packets drained from one RX ring per progress visit.
-  int progress_batch = 64;
-
   /// Largest payload sent eagerly (copied at injection); larger messages
   /// use the rendezvous protocol (RTS/ACK/fragments).
   std::size_t eager_limit = 32 * 1024;
@@ -150,12 +147,6 @@ struct Config {
   /// only the reliability_window gate applies). Policies as for the pool.
   std::size_t tracker_cap = 0;
   overload::Policy tracker_policy = overload::Policy::kQueue;
-
-  /// Degradation-ladder watermarks, percent of the tightest cap:
-  /// kHealthy -> kPressured at high; back down only at/below low
-  /// (hysteresis so the ladder doesn't flap at a boundary).
-  int overload_high_pct = 75;
-  int overload_low_pct = 50;
 
   /// Default deadline applied by the *_checked ops (and through them every
   /// collective) as now + this many ns; 0 = no deadline. Explicit

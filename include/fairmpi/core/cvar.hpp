@@ -16,7 +16,10 @@
 // Every knob is one row of the table in src/core/cvar.cpp: its name, its
 // scope, and a typed binding to its Config field with the accepted range.
 // `list_cvars` prints every row with its current value; `cvar_info`
-// describes every row (name, scope, type) like MPI_T_cvar_get_info.
+// describes every row (name, scope, type) like MPI_T_cvar_get_info. Values
+// no caller tunes are constants, not rows: the drain batch
+// (ProgressEngine::kMaxDrainBatch) and the overload watermarks
+// (overload::kHighPct / kLowPct).
 #pragma once
 
 #include <cstdint>

@@ -137,7 +137,6 @@ class Communicator {
 /// One simulated MPI process.
 class Rank final : public progress::PacketSink,
                    public p2p::RendezvousHook,
-                   public progress::StallProbe,
                    public p2p::CancelScope {
  public:
   ~Rank() override;
@@ -184,10 +183,8 @@ class Rank final : public progress::PacketSink,
   progress::ProgressEngine& engine() noexcept { return engine_; }
   p2p::CommState& comm_state(CommId id);
 
-  /// The ack/retransmit tracker (null unless Config::reliable) and the
-  /// stall watchdog (null when watchdog_interval_ns is ~0) — test hooks.
+  /// The ack/retransmit tracker (null unless Config::reliable) — test hook.
   p2p::ReliabilityTracker* reliability() noexcept { return tracker_.get(); }
-  progress::Watchdog* watchdog() noexcept { return watchdog_.get(); }
   /// Rendezvous transfers still registered (sends + receives, tombstones
   /// included) — test hook and quiesce diagnostics.
   std::size_t rendezvous_pending() const;
@@ -217,10 +214,6 @@ class Rank final : public progress::PacketSink,
   // RendezvousHook (called by the matching engine, match lock held)
   void on_rts_matched(p2p::Request* req, const fabric::Packet& rts) override;
 
-  // StallProbe (called by the watchdog, its sweep lock held): flag
-  // rendezvous transfers pending since before `horizon_ns`.
-  std::size_t scan_stalled(std::uint64_t now_ns, std::uint64_t horizon_ns) override;
-
   // p2p::CancelScope for requests owned by the rendezvous registries
   // (posted receives route through their MatchEngine instead): tombstones
   // the transfer under the registry lock and settles the request
@@ -241,6 +234,13 @@ class Rank final : public progress::PacketSink,
   /// Expire posted receives and rendezvous transfers past their deadline;
   /// returns the earliest surviving deadline.
   std::uint64_t expire_deadlines(std::uint64_t now);
+  /// The watchdog's rendezvous half: flag (once) and escalate each live
+  /// transfer registered before `horizon_ns`.
+  void scan_stalled(std::uint64_t horizon_ns);
+  /// The one stall escalation: kWatchdogStalls, a kWatchdogStall trace
+  /// event carrying (a, b), then the typed error {code, peer, detail}.
+  void escalate_stall(common::ErrorCode code, int peer, std::uint32_t a, std::uint32_t b,
+                      std::uint64_t detail);
 
   // --- typed settlement (p2p/settle.hpp) ---
   /// Apply settle_account(code): counter, trace (peer + 1, detail), report.
@@ -261,9 +261,9 @@ class Rank final : public progress::PacketSink,
                                            PickRecv pick_recv);
 
   // --- ft layer (see ft/failure_detector.hpp; DESIGN.md §5g) ---
-  /// One detection sweep from the runner: classify under the detector lock,
-  /// then (lock-free) inject heartbeats toward idle links and run failure
-  /// propagation for newly confirmed deaths. Returns the next due time.
+  /// One detection sweep from the runner: let the detector classify, then
+  /// inject heartbeats toward idle links and run failure propagation for
+  /// newly confirmed deaths. Returns the next due time.
   std::uint64_t ft_poll(std::uint64_t now);
   /// Single-attempt header-only liveness probe (never tracked, never acked).
   void send_heartbeat(int dst);
@@ -358,6 +358,8 @@ class Rank final : public progress::PacketSink,
   std::uint64_t ft_due_ = 0;        ///< runner-owned: next detector sweep
   std::vector<int> ft_probes_;      ///< runner-owned detector scratch
   std::vector<int> ft_newly_dead_;
+  /// Runner-owned watchdog scratch; it grows only when a stall is reported.
+  std::vector<progress::Watchdog::Stall> stalls_;
   /// Progress-visit counter throttling governor ladder sampling.
   std::atomic<std::uint64_t> overload_visits_{0};
 

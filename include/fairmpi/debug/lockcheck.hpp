@@ -11,8 +11,8 @@
 //     classes, see below; equal rank on the same class is a self-deadlock
 //     and reported). The engine's hierarchy is
 //
-//         progress gate (10) < CRI instance (20) < ft detector (25)
-//                            < match (30) < RMA accumulate (40)
+//         progress gate (10) < CRI instance (20) < match (30)
+//                            < RMA accumulate (40)
 //                            < RMA slots (45) < rndv state (50)
 //                            < rndv control (55) < comm create (60)
 //
@@ -62,16 +62,10 @@ namespace fairmpi::debug {
 enum class LockRank : std::uint16_t {
   kProgressGate = 10,   ///< progress::ProgressEngine serial gate
   kCriInstance = 20,    ///< cri::CommResourceInstance lock
-  kFtDetector = 25,     ///< ft::FailureDetector peer-liveness table (note_alive
-                        ///< is a lock-free store from packet dispatch, which
-                        ///< runs after the CRI lock is released; the poll
-                        ///< collects under it and acts lock-free, so it
-                        ///< acquires nothing and sits below match)
   kMatch = 30,          ///< match::MatchEngine per-communicator lock
   kRmaAccumulate = 40,  ///< rma::Window accumulate stripe locks
   kRmaSlots = 45,       ///< rma::Window pending-slot vector lock
-  kReliability = 47,    ///< p2p::ReliabilityTracker in-flight table (taken
-                        ///< under CRI/match locks on the tracked-send path)
+  kReliability = 47,    ///< p2p::ReliabilityTracker in-flight table
   kRndvState = 50,      ///< core::Rank rendezvous registries (rndv_lock_)
   kRndvControl = 55,    ///< core::Rank deferred control queue (control_lock_)
   kCommCreate = 60,     ///< core::Universe communicator creation

@@ -133,23 +133,6 @@ class RxQueue {
     return try_push_lane(lane_for(pkt.hdr.src_rank, pkt.hdr.src_ctx), std::move(pkt));
   }
 
-  /// Dequeue one packet, round-robin across lanes. Single consumer. The
-  /// hot-lane pointer skips the vector + unique_ptr derefs while one lane
-  /// keeps hitting (the overwhelmingly common shape: one busy peer).
-  bool try_pop(Packet& out) noexcept {
-    if (hot_ != nullptr && hot_->try_pop(out)) return true;
-    const std::size_t n = lanes_.size();
-    for (std::size_t i = 0; i < n; ++i) {
-      SpscRing<Packet>* lane = lanes_[cursor_].get();
-      if (lane->try_pop(out)) {
-        hot_ = lane;
-        return true;
-      }
-      cursor_ = cursor_ + 1 == n ? 0 : cursor_ + 1;
-    }
-    return false;
-  }
-
   /// Dequeue up to `max_n` packets, sweeping each lane at most once.
   /// Single consumer. The cursor persists across calls so a hot lane
   /// cannot starve the others.
@@ -187,8 +170,7 @@ class RxQueue {
  private:
   const int src_contexts_;  ///< lanes per source rank: max contexts on any NIC
   std::vector<std::unique_ptr<SpscRing<Packet>>> lanes_;
-  std::size_t cursor_ = 0;               ///< consumer-owned; CRI lock hands it off
-  SpscRing<Packet>* hot_ = nullptr;      ///< consumer-owned last-hit lane
+  std::size_t cursor_ = 0;  ///< consumer-owned; CRI lock hands it off
 };
 
 /// One network context: the unit of resource replication inside a CRI.

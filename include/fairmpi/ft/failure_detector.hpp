@@ -11,14 +11,15 @@
 //     └────────any packet───────────────┘
 //
 // Liveness evidence is piggybacked on the existing wire traffic — every
-// structurally valid inbound packet refreshes its source's epoch — plus
+// structurally valid inbound packet marks its source heard — plus
 // explicit Opcode::kHeartbeat probes injected toward every live peer on a
 // sender-side cadence (one per heartbeat interval per link), so an
 // idle-but-alive peer never trips the silence threshold. The cadence is
 // deliberately NOT gated on inbound silence: receive-gated probing
 // deadlocks symmetric idleness (A's probes keep B's inbound silence low,
-// so B never probes back and A confirms a live peer dead). Suspicion and confirmation are driven from the owning
-// rank's progress loop (Rank::progress -> poll()); death is confirmed after
+// so B never probes back and A confirms a live peer dead). Suspicion and
+// confirmation are driven from the owning rank's timed-work runner
+// (Rank::progress -> Rank::run_timed_work -> poll()); death is confirmed after
 // `strikes` unanswered probe rounds beyond the suspicion threshold and is
 // permanent, matching the fault injector's permanent link-down kill mode.
 //
@@ -28,13 +29,14 @@
 // wall-clock detection latency is not (it is recorded in a histogram for
 // dump_observability()).
 //
-// Lock discipline: note_alive is one relaxed store and takes no lock (it
-// runs on the packet dispatch path, after the CRI lock is released).
-// poll() try-locks the detector table (rank kFtDetector, 25), *collects*
-// probe targets and newly confirmed deaths under it, and returns; the
-// caller injects heartbeats and runs failure propagation with no detector
-// lock held. is_dead()/suspect hint are lock-free reads for the send paths
-// and the watchdog.
+// Concurrency: the detector has no lock. note_alive sets its source's
+// "heard" flag (no clock read; it runs on the packet dispatch path, with no
+// engine lock held). poll() has one caller at a time — the owning rank's
+// timed-work runner, under its runner claim — and owns every timing field
+// as plain data: each sweep exchanges the flags, stamps the peers it finds
+// heard with its own `now`, and classifies. Each peer's state is one
+// atomic, so is_dead()/state() and the suspect hint are lock-free reads for
+// the send paths, the watchdog, survivors() and dump_observability().
 #pragma once
 
 #include <array>
@@ -43,9 +45,6 @@
 #include <vector>
 
 #include "fairmpi/common/align.hpp"
-#include "fairmpi/common/spinlock.hpp"
-#include "fairmpi/debug/lockcheck.hpp"
-#include "fairmpi/debug/thread_safety.hpp"
 #include "fairmpi/spc/spc.hpp"
 #include "fairmpi/trace/trace.hpp"
 
@@ -86,34 +85,35 @@ class FailureDetector {
   FailureDetector(const FailureDetector&) = delete;
   FailureDetector& operator=(const FailureDetector&) = delete;
 
-  /// Refresh `peer`'s liveness epoch (any structurally valid inbound
-  /// packet). One relaxed store — safe under any engine lock.
-  void note_alive(int peer, std::uint64_t now_ns) noexcept {
-    cells_[static_cast<std::size_t>(peer)].value.last_heard.store(
-        now_ns, std::memory_order_relaxed);
+  /// Note that `peer` was heard (any structurally valid inbound packet).
+  /// One relaxed store: no clock read and no lock. The next sweep credits
+  /// the contact at its own time.
+  void note_alive(int peer) noexcept {
+    cells_[static_cast<std::size_t>(peer)].value.heard.store(true, std::memory_order_relaxed);
+  }
+
+  /// Current state of one peer. Lock-free.
+  PeerState state(int peer) const noexcept {
+    return cells_[static_cast<std::size_t>(peer)].value.state.load(std::memory_order_acquire);
   }
 
   /// True once `peer` is confirmed dead (terminal). Lock-free; the send
   /// paths use this as their fail-fast gate.
-  bool is_dead(int peer) const noexcept {
-    return cells_[static_cast<std::size_t>(peer)].value.dead.load(
-        std::memory_order_acquire);
-  }
+  bool is_dead(int peer) const noexcept { return state(peer) == PeerState::kDead; }
 
-  /// One detection sweep, driven by the owning rank's timed-work runner.
-  /// Under the table lock this only *classifies*: live peers whose link
-  /// has not been probed for a heartbeat interval land in `probes` (the
-  /// caller injects Opcode::kHeartbeat toward them), peers whose suspicion just ran out
-  /// of strikes land in `newly_dead` (the caller runs failure
-  /// propagation). Both vectors are appended to, not cleared. Returns the
-  /// next due time: half the probe interval out, so a strike round is never
-  /// skipped wholesale by aliasing — or `now_ns` when another thread holds
-  /// the sweep, so the runner retries on its next pass.
+  /// One detection sweep. Not thread-safe: the owning rank's timed-work
+  /// runner is its one caller at a time. Classifies only: live peers whose
+  /// link has not been probed for a heartbeat interval land in `probes`
+  /// (the caller injects Opcode::kHeartbeat toward them), peers whose
+  /// suspicion just ran out of strikes land in `newly_dead` (the caller runs
+  /// failure propagation). Both vectors are appended to, not cleared.
+  /// Silence is counted from the sweep that last found the peer heard, and
+  /// a never-heard peer is baselined at its first sweep instead of
+  /// suspected. `now_ns` must be > 0. Returns the next due time: half the
+  /// probe interval out, so a strike round is never skipped wholesale by
+  /// aliasing.
   std::uint64_t poll(std::uint64_t now_ns, std::vector<int>& probes,
                      std::vector<int>& newly_dead);
-
-  /// Current state of one peer (takes the table lock; obs/test hook).
-  PeerState state(int peer) const;
 
   /// First currently-suspected (or confirmed-dead) peer, -1 when none.
   /// Lock-free; the watchdog reads this to attribute a stall escalation.
@@ -129,19 +129,16 @@ class FailureDetector {
     return out;
   }
 
-  const FtParams& params() const noexcept { return params_; }
-
  private:
-  /// Lock-free per-peer hot state: written by note_alive on the packet
-  /// path, read by the send paths (dead) and poll. Padded — every
-  /// dispatching thread stores into its source's cell.
+  /// Shared per-peer state, padded: every dispatching thread may set its
+  /// source's flag, and the send paths read the state.
   struct Cell {
-    std::atomic<std::uint64_t> last_heard{0};  ///< 0 = no contact yet
-    std::atomic<bool> dead{false};
+    std::atomic<bool> heard{false};  ///< set by note_alive, cleared by poll
+    std::atomic<PeerState> state{PeerState::kAlive};  ///< written by poll only
   };
-  /// Cold per-peer classification state, owned by poll() under lock_.
-  struct Cold {
-    PeerState state = PeerState::kAlive;
+  /// Per-peer timing, owned by poll() (plain data: one caller at a time).
+  struct Timing {
+    std::uint64_t last_heard_ns = 0;  ///< 0 = not yet baselined
     int strikes = 0;
     std::uint64_t last_probe_ns = 0;
     std::uint64_t last_strike_ns = 0;
@@ -154,8 +151,7 @@ class FailureDetector {
   trace::Tracer& tracer_;
 
   std::vector<Padded<Cell>> cells_;
-  mutable RankedLock<Spinlock> lock_{debug::LockRank::kFtDetector, "ft.detector"};
-  std::vector<Cold> cold_ FAIRMPI_GUARDED_BY(lock_);
+  std::vector<Timing> timing_;
   std::atomic<int> suspect_hint_{-1};
   std::array<std::atomic<std::uint64_t>, kLatencyBuckets> lat_hist_{};
 };

@@ -372,9 +372,10 @@ class MatchEngine : public p2p::CancelScope {
   std::atomic<std::uint64_t>* due_ = nullptr;  ///< owning rank's due time
   trace::Tracer* tracer_ = nullptr;    ///< overload event recording (optional)
 
-  /// Acquired under the CRI instance lock on the progress path (rank
-  /// kMatch > kCriInstance); never held while acquiring engine resources —
-  /// rendezvous sends discovered under it are deferred (p2p/rendezvous.hpp).
+  /// Taken from packet dispatch, after the CRI lock is released, and from
+  /// the post paths (rank kMatch > kCriInstance); never held while
+  /// acquiring engine resources — rendezvous sends discovered under it are
+  /// deferred (p2p/rendezvous.hpp).
   /// (The slab pool's internal lock, rank kSlabPool, is the one exception:
   /// it is a leaf above the whole hierarchy.)
   mutable RankedLock<Spinlock> lock_{LockRank::kMatch, "match.engine"};

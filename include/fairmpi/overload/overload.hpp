@@ -57,6 +57,13 @@ enum class Level : std::uint8_t {
 
 const char* level_name(Level l) noexcept;
 
+/// Degradation-ladder watermarks, percent of the tightest cap: kHealthy ->
+/// kPressured at kHighPct; back down only at/below kLowPct (hysteresis, so
+/// the ladder doesn't flap at a boundary). kLowPct is also where a paused
+/// peer is re-admitted.
+inline constexpr int kHighPct = 75;
+inline constexpr int kLowPct = 50;
+
 /// Resolved caps + policies (from Config; all caps 0 = layer disabled).
 struct Limits {
   std::size_t unexpected_cap = 0;          ///< per-peer unexpected depth
@@ -65,8 +72,6 @@ struct Limits {
   Policy pool_policy = Policy::kQueue;
   std::size_t tracker_cap = 0;             ///< in-flight reliability entries
   Policy tracker_policy = Policy::kQueue;
-  int high_pct = 75;  ///< kHealthy -> kPressured watermark (percent of cap)
-  int low_pct = 50;   ///< hysteresis: re-admit / step down below this
 };
 
 class Governor {
@@ -137,7 +142,7 @@ class Governor {
 
   /// Re-evaluate the ladder from current resource usage (progress-driven;
   /// any thread may call, a CAS keeps transitions exactly-once). Up
-  /// transitions are immediate; down transitions need pressure <= low_pct
+  /// transitions are immediate; down transitions need pressure <= kLowPct
   /// (hysteresis), so the ladder doesn't flap at a watermark.
   Transition sample(std::uint64_t unexpected_total, std::uint64_t pool_in_use,
                     std::uint64_t tracker_in_flight) noexcept;

@@ -22,11 +22,15 @@
 // themselves are never tracked — a lost ack is recovered by retransmit +
 // duplicate-discard + re-ack.
 //
-// Lock discipline: the table lock ranks kReliability (47) — *above* the CRI
-// and match locks, because track() runs on the send path under them, and
-// *below* the rendezvous registries. sweep() only collects clones under the
-// lock; the caller re-injects after releasing it (injection takes CRI locks,
-// rank 20, which must never be acquired under this one).
+// Lock discipline: the table lock ranks kReliability (47), above the CRI
+// and match locks and below the rendezvous registries. No engine lock is
+// held when it is taken: the send paths track before their first
+// injection (Rank::eager_send, and Rank::inject_control from the deferred
+// control drain), and acks and NACKs retire entries from packet dispatch,
+// which runs after the instance lock is released. Under it only the
+// payload pool (clone_packet) is acquired. sweep() only collects clones
+// under the lock; the caller re-injects after releasing it (injection takes
+// CRI locks, rank 20, which must never be acquired under this one).
 #pragma once
 
 #include <atomic>
@@ -36,6 +40,7 @@
 
 #include "fairmpi/common/error.hpp"
 #include "fairmpi/common/spinlock.hpp"
+#include "fairmpi/common/timing.hpp"
 #include "fairmpi/debug/lockcheck.hpp"
 #include "fairmpi/debug/thread_safety.hpp"
 #include "fairmpi/fabric/wire.hpp"
@@ -115,6 +120,9 @@ class ReliabilityTracker {
 
   /// Collect expired entries: clones to re-inject into `resends` and
   /// retry-exhausted entries — removed from the table — into `failures`.
+  /// `is_dead(dst)` answers whether a destination was confirmed dead: its
+  /// entries fail kPeerFailed at once, whatever their deadline (a send that
+  /// raced fail_peer tracked them after the purge).
   /// Sweeping only *claims* an entry (its deadline moves one rto out); the
   /// retry budget and the exponential backoff are charged by
   /// confirm_retransmit once the clone actually made it onto the wire.
@@ -123,24 +131,21 @@ class ReliabilityTracker {
   /// sender's own congestion, or entries exhaust and messages vanish.
   /// Caller injects with no tracker lock held. Returns the earliest
   /// deadline still tracked (kNever when empty).
+  template <class IsDead>
   std::uint64_t sweep(std::uint64_t now_ns, std::vector<Resend>& resends,
-                      std::vector<Failure>& failures);
+                      std::vector<Failure>& failures, IsDead is_dead);
 
   /// Record that a swept clone was injected: charges one retry and doubles
   /// the rto (bounded by rto_max). No-op when the entry was acked between
   /// the sweep and the injection.
   void confirm_retransmit(const PacketKey& key, std::uint64_t now_ns);
 
-  /// Peer-death propagation (ft): mark `peer` permanently failed and move
-  /// every tracked entry destined to it — removed from the table — into
-  /// `failures` with code kPeerFailed, instead of letting each burn its
-  /// retry budget into a dead link. Entries tracked *after* this call (a
-  /// send racing the confirmation) are caught by the next sweep, which
-  /// fails anything destined to a failed peer regardless of deadline.
+  /// Peer-death propagation (ft): move every tracked entry destined to
+  /// `peer` — removed from the table — into `failures` with code
+  /// kPeerFailed, instead of letting each burn its retry budget into a dead
+  /// link. Entries tracked *after* this call (a send racing the
+  /// confirmation) are failed by the next sweep, through its `is_dead`.
   void fail_peer(int peer, std::vector<Failure>& failures);
-
-  /// True once fail_peer(peer) has run (fail-fast gate for new tracks).
-  bool peer_failed(int peer) const noexcept;
 
   /// Tracked-but-unacked entry count (relaxed). The send window gate: a
   /// sender blocks (progressing) while this is at Config::reliability_window
@@ -167,10 +172,36 @@ class ReliabilityTracker {
                                      "p2p.reliability"};
   std::unordered_map<PacketKey, Entry, PacketKeyHash> inflight_
       FAIRMPI_GUARDED_BY(lock_);
-  /// Peers confirmed dead (ft). Grown on fail_peer only; sweeps and tracks
-  /// consult it so no entry to a dead peer ever retransmits.
-  std::vector<bool> failed_peers_ FAIRMPI_GUARDED_BY(lock_);
   std::atomic<std::size_t> in_flight_{0};
 };
+
+template <class IsDead>
+std::uint64_t ReliabilityTracker::sweep(std::uint64_t now_ns, std::vector<Resend>& resends,
+                                        std::vector<Failure>& failures, IsDead is_dead) {
+  LockGuard guard(lock_);
+  std::uint64_t earliest = kNever;
+  for (auto it = inflight_.begin(); it != inflight_.end();) {
+    Entry& e = it->second;
+    const bool dead = is_dead(e.dst);
+    if (dead || (e.deadline_ns <= now_ns && e.retries >= max_retries_)) {
+      failures.push_back(Failure{it->first, e.retries,
+                                 dead ? common::ErrorCode::kPeerFailed
+                                      : common::ErrorCode::kRetryExhausted});
+      it = inflight_.erase(it);
+      in_flight_.fetch_sub(1, std::memory_order_relaxed);
+      continue;
+    }
+    if (e.deadline_ns <= now_ns) {
+      // Claim only: push the deadline one (current) rto out so concurrent
+      // sweeps don't double-clone it. Backoff and the retry charge happen in
+      // confirm_retransmit, once the clone verifiably left the sender.
+      e.deadline_ns = now_ns + e.rto_ns;
+      resends.push_back(Resend{e.dst, fabric::clone_packet(e.pkt)});
+    }
+    if (e.deadline_ns < earliest) earliest = e.deadline_ns;
+    ++it;
+  }
+  return earliest;
+}
 
 }  // namespace fairmpi::p2p

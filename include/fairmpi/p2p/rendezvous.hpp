@@ -19,11 +19,14 @@
 //                                    completes when the last fragment is
 //                                    injected.
 //
-// Lock discipline: matches and acks are discovered while holding the
-// matching lock and possibly a CRI lock; sending from those contexts could
-// deadlock two progress threads acquiring each other's instances. All
-// protocol sends are therefore *deferred* to a control queue drained by
-// Rank::progress() outside any engine lock.
+// Lock discipline: packets are dispatched after the CRI lock is released,
+// but a match is discovered under the matching lock, and in serial
+// progress every dispatch runs inside the engine's serial gate. A protocol
+// send blocked on backpressure there could not progress its own rank (the
+// gate is taken, or the match lock would be held across an injection), so
+// two ranks flooding each other would deadlock. All protocol sends are
+// therefore *deferred* to a control queue drained by Rank::progress()
+// outside any engine lock.
 //
 // Settling a registered transfer early (peer death, deadline, cancel,
 // NACKed RTS — Rank::claim_rendezvous) follows one rule: a send state is

@@ -19,14 +19,17 @@
 // Lock-scope discipline: every instance visit — serial, concurrent or
 // flush — is one step (visit): acquire the CRI lock, pop the CQ and RX ring
 // into a stack batch, release, then hand the batch to the sink (matching,
-// completion owners). No packet or completion is dispatched while an
-// instance lock is held, so the lock covers only ring pops — a few hundred
-// ns for a full batch — instead of the whole matching pipeline. The batch
-// itself is built once per call before any instance lock is taken. Dispatch
-// order within a batch is preserved (completions first, packets in arrival
-// order); cross-batch interleaving with other progress threads is exactly
-// as arbitrary as the fabric already is, and the matching engine's
-// sequence validation owns ordering correctness.
+// completion owners). No packet is dispatched while an instance lock is
+// held, so the lock covers only ring pops — a few hundred ns for a full
+// batch — instead of the whole matching pipeline. The one completion
+// dispatched under an instance lock is outside the engine: an RMA op that
+// finds its CQ full harvests one event inline through
+// Rank::handle_completion while it holds the lock (Window::post_completion).
+// The batch itself is built once per call before any instance lock is
+// taken. Dispatch order within a batch is preserved (completions first,
+// packets in arrival order); cross-batch interleaving with other progress
+// threads is exactly as arbitrary as the fabric already is, and the
+// matching engine's sequence validation owns ordering correctness.
 #pragma once
 
 #include <array>
@@ -99,8 +102,8 @@ class ProgressEngine {
   /// does not count kProgressCalls.
   std::size_t own_first_pass(WhenAllBusy when_all_busy);
 
-  /// Hard cap on one drain batch (the stack buffer size); the runtime
-  /// `batch` knob is clamped to it.
+  /// Hard cap on one drain batch (the stack buffer size); `batch` is
+  /// clamped to it. A Rank's engine drains full batches.
   static constexpr std::size_t kMaxDrainBatch = 64;
 
  private:

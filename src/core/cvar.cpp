@@ -44,11 +44,11 @@ constexpr CvarScope kOverride = CvarScope::kOverride;
 // The one list of control variables, in list_cvars order.
 // clang-format off
 constexpr Row kRows[] = {
-    {"num_instances", kDesign, +[](Config& c) -> auto& { return c.num_instances; }, 1},
+    // A context id must fit the wire header's 16-bit src_ctx.
+    {"num_instances", kDesign, +[](Config& c) -> auto& { return c.num_instances; }, 1, 65536},
     {"assignment", kDesign, +[](Config& c) -> auto& { return c.assignment; }},
     {"progress", kDesign, +[](Config& c) -> auto& { return c.progress_mode; }},
     {"allow_overtaking", kDesign, +[](Config& c) -> auto& { return c.allow_overtaking; }},
-    {"progress_batch", kDesign, +[](Config& c) -> auto& { return c.progress_batch; }, 1},
     {"eager_limit", kDesign, +[](Config& c) -> auto& { return c.eager_limit; }},
     {"rndv_frag_bytes", kDesign, +[](Config& c) -> auto& { return c.rndv_frag_bytes; }, 1},
     {"rx_ring_entries", kDesign, +[](Config& c) -> auto& { return c.fabric.rx_ring_entries; }, 2},
@@ -84,8 +84,6 @@ constexpr Row kRows[] = {
     {"payload_pool_policy", kOverride, +[](Config& c) -> auto& { return c.payload_pool_policy; }},
     {"tracker_cap", kOverride, +[](Config& c) -> auto& { return c.tracker_cap; }},
     {"tracker_policy", kOverride, +[](Config& c) -> auto& { return c.tracker_policy; }},
-    {"overload_high_pct", kOverride, +[](Config& c) -> auto& { return c.overload_high_pct; }, 1, 100},
-    {"overload_low_pct", kOverride, +[](Config& c) -> auto& { return c.overload_low_pct; }, 0, 100},
     {"op_deadline_ns", kOverride, +[](Config& c) -> auto& { return c.op_deadline_ns; }},
     {"coll_segment_bytes", kDesign, +[](Config& c) -> auto& { return c.coll_segment_bytes; }},
     {"coll_rsag_min_bytes", kDesign, +[](Config& c) -> auto& { return c.coll_rsag_min_bytes; }},

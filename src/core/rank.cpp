@@ -21,8 +21,6 @@ overload::Limits limits_from(const Config& cfg) noexcept {
   lim.pool_policy = cfg.payload_pool_policy;
   lim.tracker_cap = cfg.tracker_cap;
   lim.tracker_policy = cfg.tracker_policy;
-  lim.high_pct = cfg.overload_high_pct;
-  lim.low_pct = cfg.overload_low_pct;
   return lim;
 }
 
@@ -31,8 +29,8 @@ overload::Limits limits_from(const Config& cfg) noexcept {
 Rank::Rank(Universe& uni, int id)
     : uni_(&uni), id_(id), tracer_(uni.config().trace_entries),
       pool_(uni.fabric(), id, uni.config().assignment),
-      engine_(pool_, *this, uni.config().progress_mode, spc_, uni.config().progress_batch,
-              &tracer_),
+      engine_(pool_, *this, uni.config().progress_mode, spc_,
+              static_cast<int>(progress::ProgressEngine::kMaxDrainBatch), &tracer_),
       comms_(static_cast<std::size_t>(uni.config().max_communicators)),
       governor_(limits_from(uni.config())) {
   for (auto& slot : comms_) slot.store(nullptr, std::memory_order_relaxed);
@@ -42,13 +40,6 @@ Rank::Rank(Universe& uni, int id)
     // lint: allow(hotpath-alloc) ctor: one tracker per rank
     tracker_ = std::make_unique<p2p::ReliabilityTracker>(
         cfg.rto_ns, cfg.rto_max_ns, cfg.max_retries, &uni.retransmit_due_);
-  }
-  if (cfg.watchdog_interval_ns != kNever) {
-    // lint: allow(hotpath-alloc) ctor: one watchdog per rank
-    watchdog_ = std::make_unique<progress::Watchdog>(
-        pool_, spc_, tracer_, cfg.watchdog_stall_sweeps, cfg.rndv_stall_ns);
-    watchdog_->set_stall_probe(this);
-    watchdog_->set_error_sink(err_sink_, err_user_, id_);
   }
   if (cfg.ft_enabled) {
     ft::FtParams fp;
@@ -67,7 +58,11 @@ Rank::Rank(Universe& uni, int id)
     ft_probes_.reserve(static_cast<std::size_t>(cfg.num_ranks));
     // lint: allow(hotpath-alloc) ctor: detector scratch sized once
     ft_newly_dead_.reserve(static_cast<std::size_t>(cfg.num_ranks));
-    if (watchdog_ != nullptr) watchdog_->set_suspect_hint(ft_->suspect_hint());
+  }
+  if (cfg.watchdog_interval_ns != kNever) {
+    // lint: allow(hotpath-alloc) ctor: one watchdog per rank
+    watchdog_ = std::make_unique<progress::Watchdog>(
+        pool_, cfg.watchdog_stall_sweeps, ft_ != nullptr ? ft_->suspect_hint() : nullptr);
   }
   // Both cadences start due: the first progress call runs the first sweep.
   if (watchdog_ != nullptr || ft_ != nullptr) due_ns_.store(0, std::memory_order_relaxed);
@@ -76,7 +71,6 @@ Rank::Rank(Universe& uni, int id)
 void Rank::set_error_sink(common::ErrorSink sink, void* user) noexcept {
   err_sink_ = sink;
   err_user_ = user;
-  if (watchdog_ != nullptr) watchdog_->set_error_sink(sink, user, id_);
 }
 
 void Rank::report_error(const common::Error& err) noexcept {
@@ -431,7 +425,8 @@ std::uint64_t Rank::reliability_sweep(std::uint64_t now) {
   // lint: allow(hotpath-alloc) only reached when packets expired (lossy run)
   std::vector<p2p::ReliabilityTracker::Resend> resends;
   std::vector<p2p::ReliabilityTracker::Failure> failures;
-  const std::uint64_t next = tracker_->sweep(now, resends, failures);
+  const std::uint64_t next = tracker_->sweep(
+      now, resends, failures, [this](int dst) { return peer_failed(dst); });
   for (auto& r : resends) {
     const p2p::PacketKey key = p2p::key_of(r.dst, r.pkt.hdr);
     // Single attempt: if the ring is full the tracker still holds the
@@ -527,8 +522,17 @@ void Rank::run_timed_work(std::uint64_t now) {
     std::uint64_t next = kNever;
     if (watchdog_ != nullptr) {
       if (now >= watchdog_due_) {
-        watchdog_->poll(now);
-        const std::uint64_t interval = uni_->config().watchdog_interval_ns;
+        stalls_.clear();
+        watchdog_->poll(stalls_);
+        for (const progress::Watchdog::Stall& st : stalls_) {
+          escalate_stall(common::ErrorCode::kStalledInstance, st.peer,
+                         static_cast<std::uint32_t>(st.instance),
+                         static_cast<std::uint32_t>(st.strikes),
+                         static_cast<std::uint64_t>(st.instance));
+        }
+        const Config& cfg = uni_->config();
+        if (now > cfg.rndv_stall_ns) scan_stalled(now - cfg.rndv_stall_ns);
+        const std::uint64_t interval = cfg.watchdog_interval_ns;
         watchdog_due_ = interval > kNever - now ? kNever : now + interval;
       }
       next = watchdog_due_;
@@ -572,10 +576,6 @@ std::uint64_t Rank::ft_poll(std::uint64_t now) {
   ft_probes_.clear();
   ft_newly_dead_.clear();
   const std::uint64_t next = ft_->poll(now, ft_probes_, ft_newly_dead_);
-  // Classification done under the detector lock; everything below runs
-  // with NO detector lock held (heartbeat injection takes CRI locks,
-  // propagation takes match/reliability/rndv locks — all ranked away
-  // from kFtDetector in both directions; see lockcheck.hpp).
   for (const int dst : ft_probes_) send_heartbeat(dst);
   for (const int peer : ft_newly_dead_) on_peer_dead(peer);
   return next;
@@ -594,9 +594,9 @@ void Rank::send_heartbeat(int dst) {
 }
 
 void Rank::on_peer_dead(int peer) {
-  // 1. Tracked sends toward the peer fail typed (not retry-burned); the
-  //    tracker also latches the peer so entries tracked by racing senders
-  //    are caught by the next sweep.
+  // 1. Tracked sends toward the peer fail typed (not retry-burned). An
+  //    entry tracked by a racing sender after this purge is failed by the
+  //    next sweep, which asks peer_failed() about every destination.
   if (tracker_ != nullptr) {
     // lint: allow(hotpath-alloc) peer death is a cold, once-per-rank event
     std::vector<p2p::ReliabilityTracker::Failure> failures;
@@ -683,8 +683,7 @@ bool Rank::cancel_request(p2p::Request* req) {
          settle(victims.front().req, common::ErrorCode::kCancelled, victims.front().peer);
 }
 
-std::size_t Rank::scan_stalled(std::uint64_t now, std::uint64_t horizon) {
-  (void)now;
+void Rank::scan_stalled(std::uint64_t horizon) {
   struct Stalled {
     int peer;
     std::uint64_t cookie;
@@ -709,13 +708,17 @@ std::size_t Rank::scan_stalled(std::uint64_t now, std::uint64_t horizon) {
     }
   }
   for (const auto& s : flagged) {
-    spc_.add(Counter::kWatchdogStalls);
-    tracer_.record(trace::Event::kWatchdogStall, static_cast<std::uint32_t>(s.peer),
-                   static_cast<std::uint32_t>(s.cookie));
-    report_error(common::Error{common::ErrorCode::kStalledRendezvous, id_, s.peer,
-                               s.cookie});
+    escalate_stall(common::ErrorCode::kStalledRendezvous, s.peer,
+                   static_cast<std::uint32_t>(s.peer), static_cast<std::uint32_t>(s.cookie),
+                   s.cookie);
   }
-  return flagged.size();
+}
+
+void Rank::escalate_stall(common::ErrorCode code, int peer, std::uint32_t a, std::uint32_t b,
+                          std::uint64_t detail) {
+  spc_.add(Counter::kWatchdogStalls);
+  tracer_.record(trace::Event::kWatchdogStall, a, b);
+  report_error(common::Error{code, id_, peer, detail});
 }
 
 std::size_t Rank::handle_packet(fabric::Packet&& pkt) {
@@ -731,11 +734,9 @@ std::size_t Rank::handle_packet(fabric::Packet&& pkt) {
     return 0;
   }
   // Liveness piggybacking: every validated inbound packet — any opcode —
-  // refreshes its source's epoch, so a peer with ANY traffic toward us
-  // never needs explicit heartbeats.
-  if (ft_ != nullptr) {
-    ft_->note_alive(static_cast<int>(pkt.hdr.src_rank), now_ns());
-  }
+  // marks its source heard, so a peer with ANY traffic toward us never
+  // needs explicit heartbeats.
+  if (ft_ != nullptr) ft_->note_alive(static_cast<int>(pkt.hdr.src_rank));
   if (pkt.hdr.opcode == fabric::Opcode::kHeartbeat) {
     // Consumed before the ack path on purpose: heartbeats are pure liveness
     // evidence — never acked, never tracked; a lost one is recovered by the

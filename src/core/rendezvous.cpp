@@ -107,8 +107,9 @@ void Rank::on_rts_matched(p2p::Request* req, const Packet& rts) {
 }
 
 std::size_t Rank::handle_rndv_ack(const Packet& pkt) {
-  // Instance lock is held by the progress path: defer the (potentially
-  // large) data transmission to the control queue.
+  // Dispatch may run inside serial progress's gate, where a data send
+  // blocked on backpressure could not drain our own rings: defer the
+  // (potentially large) transmission to the control queue.
   std::uint64_t recv_cookie = 0;
   std::memcpy(&recv_cookie, pkt.payload(), sizeof recv_cookie);
   {

@@ -9,10 +9,10 @@ using spc::Counter;
 
 namespace {
 
-// Time elapsed since `then`, saturated at 0. `now` is read by the caller
-// before the sweep starts, so a concurrent note_alive (or a poll from
-// another thread with a later clock) can store a newer stamp: unsigned
-// subtraction would wrap to ~2^64 and read a live peer as silent.
+// Time elapsed since `then`, saturated at 0. Each progress call reads its
+// `now` before it competes for the runner claim, so a sweep can run with an
+// earlier time than the sweep before it: unsigned subtraction would wrap to
+// ~2^64 and read a live peer as silent.
 std::uint64_t since(std::uint64_t now, std::uint64_t then) noexcept {
   return now > then ? now - then : 0;
 }
@@ -23,39 +23,35 @@ FailureDetector::FailureDetector(int num_ranks, int self, const FtParams& params
                                  spc::CounterSet& counters, trace::Tracer& tracer)
     : num_ranks_(num_ranks), self_(self), params_(params), spc_(counters),
       tracer_(tracer), cells_(static_cast<std::size_t>(num_ranks)),
-      cold_(static_cast<std::size_t>(num_ranks)) {
+      timing_(static_cast<std::size_t>(num_ranks)) {
   FAIRMPI_CHECK(params.strikes >= 1);
   FAIRMPI_CHECK(params.heartbeat_ns >= 1 && params.suspect_ns >= params.heartbeat_ns);
 }
 
 std::uint64_t FailureDetector::poll(std::uint64_t now_ns, std::vector<int>& probes,
                                     std::vector<int>& newly_dead) {
-  if (!lock_.try_lock()) return now_ns;  // another thread is sweeping
-  LockGuard adopt(lock_, adopt_lock);
-
   for (int p = 0; p < num_ranks_; ++p) {
     if (p == self_) continue;
-    Cold& c = cold_[static_cast<std::size_t>(p)];
-    if (c.state == PeerState::kDead) continue;
     Cell& cell = cells_[static_cast<std::size_t>(p)].value;
+    const PeerState state = cell.state.load(std::memory_order_relaxed);  // ours
+    if (state == PeerState::kDead) continue;
+    Timing& t = timing_[static_cast<std::size_t>(p)];
 
-    std::uint64_t heard = cell.last_heard.load(std::memory_order_relaxed);
-    if (heard == 0) {
-      // No contact yet: baseline the epoch at first observation instead of
-      // suspecting a peer we never exchanged a packet with. CAS so a racing
-      // real packet's note_alive is never overwritten.
-      cell.last_heard.compare_exchange_strong(heard, now_ns,
-                                              std::memory_order_relaxed,
-                                              std::memory_order_relaxed);
+    if (cell.heard.exchange(false, std::memory_order_relaxed)) {
+      t.last_heard_ns = now_ns;
+    } else if (t.last_heard_ns == 0) {
+      // Never heard: baseline the silence clock at the first sweep instead
+      // of suspecting a peer we never exchanged a packet with.
+      t.last_heard_ns = now_ns;
       continue;
     }
-    const std::uint64_t silence = since(now_ns, heard);
+    const std::uint64_t silence = since(now_ns, t.last_heard_ns);
 
     if (silence < params_.suspect_ns) {
-      if (c.state == PeerState::kSuspect) {
+      if (state == PeerState::kSuspect) {
         // Recovered: traffic resumed before the strikes ran out.
-        c.state = PeerState::kAlive;
-        c.strikes = 0;
+        cell.state.store(PeerState::kAlive, std::memory_order_release);
+        t.strikes = 0;
         int hint = p;
         suspect_hint_.compare_exchange_strong(hint, -1, std::memory_order_relaxed,
                                               std::memory_order_relaxed);
@@ -65,18 +61,18 @@ std::uint64_t FailureDetector::poll(std::uint64_t now_ns, std::vector<int>& prob
       // inbound silence. Receive-gated probing deadlocks symmetric
       // idleness: A's probes keep B's inbound silence low, so B never
       // probes back and A confirms a perfectly live peer dead.
-      if (since(now_ns, c.last_probe_ns) >= params_.heartbeat_ns) {
-        c.last_probe_ns = now_ns;
+      if (since(now_ns, t.last_probe_ns) >= params_.heartbeat_ns) {
+        t.last_probe_ns = now_ns;
         probes.push_back(p);
       }
       continue;
     }
 
-    if (c.state == PeerState::kAlive) {
-      c.state = PeerState::kSuspect;
-      c.strikes = 0;
-      c.last_strike_ns = now_ns;
-      c.last_probe_ns = now_ns;
+    if (state == PeerState::kAlive) {
+      cell.state.store(PeerState::kSuspect, std::memory_order_release);
+      t.strikes = 0;
+      t.last_strike_ns = now_ns;
+      t.last_probe_ns = now_ns;
       spc_.add(Counter::kFtSuspects);
       tracer_.record(trace::Event::kPeerSuspect, static_cast<std::uint32_t>(p), 1);
       suspect_hint_.store(p, std::memory_order_relaxed);
@@ -85,17 +81,16 @@ std::uint64_t FailureDetector::poll(std::uint64_t now_ns, std::vector<int>& prob
     }
 
     // kSuspect: one strike per unanswered probe interval.
-    if (since(now_ns, c.last_strike_ns) < params_.heartbeat_ns) continue;
-    c.last_strike_ns = now_ns;
-    if (++c.strikes < params_.strikes) {
-      c.last_probe_ns = now_ns;
+    if (since(now_ns, t.last_strike_ns) < params_.heartbeat_ns) continue;
+    t.last_strike_ns = now_ns;
+    if (++t.strikes < params_.strikes) {
+      t.last_probe_ns = now_ns;
       probes.push_back(p);
       continue;
     }
 
     // Confirmed dead (terminal). Detection latency = last contact to now.
-    c.state = PeerState::kDead;
-    cell.dead.store(true, std::memory_order_release);
+    cell.state.store(PeerState::kDead, std::memory_order_release);
     spc_.add(Counter::kFtDeaths);
     const std::uint64_t ms = silence / 1'000'000;
     int bucket = 0;
@@ -107,11 +102,6 @@ std::uint64_t FailureDetector::poll(std::uint64_t now_ns, std::vector<int>& prob
     newly_dead.push_back(p);
   }
   return now_ns + params_.heartbeat_ns / 2;
-}
-
-PeerState FailureDetector::state(int peer) const {
-  LockGuard guard(lock_);
-  return cold_[static_cast<std::size_t>(peer)].state;
 }
 
 }  // namespace fairmpi::ft

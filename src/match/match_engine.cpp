@@ -425,9 +425,8 @@ bool MatchEngine::post(p2p::Request* req) {
       // kQueue re-admission: unlatch once the peer drained to the low
       // watermark (hysteresis — not at cap-1, or the latch would flap).
       if (best_ps.paused && gov_ != nullptr) {
-        const overload::Limits& lim = gov_->limits();
         if (best_ps.unexpected_n * 100 <=
-            static_cast<std::size_t>(lim.low_pct) * lim.unexpected_cap) {
+            static_cast<std::size_t>(overload::kLowPct) * gov_->limits().unexpected_cap) {
           best_ps.paused = false;
           gov_->resume_peer();
           if (tracer_ != nullptr) {

@@ -224,7 +224,7 @@ void Universe::dump_observability(std::ostream& os) const {
          << ", \"pool_policy\": \"" << overload::policy_name(lim.pool_policy)
          << "\", \"tracker_cap\": " << lim.tracker_cap
          << ", \"tracker_policy\": \"" << overload::policy_name(lim.tracker_policy)
-         << "\", \"high_pct\": " << lim.high_pct << ", \"low_pct\": " << lim.low_pct
+         << "\", \"high_pct\": " << overload::kHighPct << ", \"low_pct\": " << overload::kLowPct
          << "}";
     }
     os << ", \"spc\": ";

@@ -57,11 +57,11 @@ Governor::Transition Governor::sample(std::uint64_t unexpected_total,
   Level next = cur_level;
   if (pct >= 100) {
     next = Level::kOverloaded;
-  } else if (pct >= lim_.high_pct) {
+  } else if (pct >= kHighPct) {
     // At least pressured; this is also the single step down an overloaded
     // rank takes once it is out of the 100% band.
     next = Level::kPressured;
-  } else if (pct <= lim_.low_pct) {
+  } else if (pct <= kLowPct) {
     next = Level::kHealthy;
   } else if (cur_level == Level::kOverloaded) {
     // Between low and high: hysteresis band. Overloaded steps down to

@@ -53,55 +53,8 @@ void ReliabilityTracker::untrack(const PacketKey& key) {
   }
 }
 
-std::uint64_t ReliabilityTracker::sweep(std::uint64_t now_ns, std::vector<Resend>& resends,
-                                        std::vector<Failure>& failures) {
-  LockGuard guard(lock_);
-  std::uint64_t earliest = kNever;
-  for (auto it = inflight_.begin(); it != inflight_.end();) {
-    Entry& e = it->second;
-    if (static_cast<std::size_t>(e.dst) < failed_peers_.size() &&
-        failed_peers_[static_cast<std::size_t>(e.dst)]) {
-      // Tracked after the peer's death was confirmed (racing send):
-      // deadline is irrelevant, the link is permanently down.
-      // lint: allow(hotpath-alloc) failure reporting is the cold outcome
-      failures.push_back(Failure{it->first, e.retries,
-                                 common::ErrorCode::kPeerFailed});
-      it = inflight_.erase(it);
-      in_flight_.fetch_sub(1, std::memory_order_relaxed);
-      continue;
-    }
-    if (e.deadline_ns > now_ns) {
-      if (e.deadline_ns < earliest) earliest = e.deadline_ns;
-      ++it;
-      continue;
-    }
-    if (e.retries >= max_retries_) {
-      // lint: allow(hotpath-alloc) failure reporting is the cold outcome
-      failures.push_back(Failure{it->first, e.retries,
-                                 common::ErrorCode::kRetryExhausted});
-      it = inflight_.erase(it);
-      in_flight_.fetch_sub(1, std::memory_order_relaxed);
-      continue;
-    }
-    // Claim only: push the deadline one (current) rto out so concurrent
-    // sweeps don't double-clone it. Backoff and the retry charge happen in
-    // confirm_retransmit, once the clone verifiably left the sender.
-    e.deadline_ns = now_ns + e.rto_ns;
-    if (e.deadline_ns < earliest) earliest = e.deadline_ns;
-    // lint: allow(hotpath-alloc) resend batch exists only under injection
-    resends.push_back(Resend{e.dst, fabric::clone_packet(e.pkt)});
-    ++it;
-  }
-  return earliest;
-}
-
 void ReliabilityTracker::fail_peer(int peer, std::vector<Failure>& failures) {
   LockGuard guard(lock_);
-  if (static_cast<std::size_t>(peer) >= failed_peers_.size()) {
-    // lint: allow(hotpath-alloc) peer death is a cold, once-per-rank event
-    failed_peers_.resize(static_cast<std::size_t>(peer) + 1, false);
-  }
-  failed_peers_[static_cast<std::size_t>(peer)] = true;
   for (auto it = inflight_.begin(); it != inflight_.end();) {
     if (it->second.dst != peer) {
       ++it;
@@ -113,12 +66,6 @@ void ReliabilityTracker::fail_peer(int peer, std::vector<Failure>& failures) {
     it = inflight_.erase(it);
     in_flight_.fetch_sub(1, std::memory_order_relaxed);
   }
-}
-
-bool ReliabilityTracker::peer_failed(int peer) const noexcept {
-  LockGuard guard(lock_);
-  return static_cast<std::size_t>(peer) < failed_peers_.size() &&
-         failed_peers_[static_cast<std::size_t>(peer)];
 }
 
 void ReliabilityTracker::confirm_retransmit(const PacketKey& key,

@@ -5,17 +5,14 @@
 
 namespace fairmpi::progress {
 
-using spc::Counter;
-
-Watchdog::Watchdog(cri::CriPool& pool, spc::CounterSet& counters,
-                   trace::Tracer& tracer, int stall_sweeps, std::uint64_t rndv_stall_ns)
-    : pool_(pool), spc_(counters), tracer_(tracer), stall_sweeps_(stall_sweeps),
-      rndv_stall_ns_(rndv_stall_ns), instances_(static_cast<std::size_t>(pool.size())) {
+Watchdog::Watchdog(cri::CriPool& pool, int stall_sweeps,
+                   const std::atomic<int>* suspect_hint)
+    : pool_(pool), stall_sweeps_(stall_sweeps), suspect_hint_(suspect_hint),
+      instances_(static_cast<std::size_t>(pool.size())) {
   FAIRMPI_CHECK(stall_sweeps >= 1);
 }
 
-std::size_t Watchdog::poll(std::uint64_t now_ns) {
-  std::size_t flagged = 0;
+void Watchdog::poll(std::vector<Stall>& stalled) {
   for (int i = 0; i < pool_.size(); ++i) {
     fabric::NetworkContext& ctx = pool_.instance(i).context();
     // Consumption frontier from existing lock-free instrumentation: packets
@@ -46,25 +43,10 @@ std::size_t Watchdog::poll(std::uint64_t now_ns) {
     if (++st.strikes < stall_sweeps_ || st.escalated) continue;
 
     st.escalated = true;
-    ++flagged;
-    spc_.add(Counter::kWatchdogStalls);
-    tracer_.record(trace::Event::kWatchdogStall, static_cast<std::uint32_t>(i),
-                   static_cast<std::uint32_t>(st.strikes));
-    if (sink_ != nullptr) {
-      // Attribute the stall to the peer the failure detector currently
-      // suspects (if ft is on and suspects someone); -1 = unattributed.
-      const int peer =
-          suspect_hint_ != nullptr ? suspect_hint_->load(std::memory_order_relaxed) : -1;
-      sink_(common::Error{common::ErrorCode::kStalledInstance, rank_, peer,
-                          static_cast<std::uint64_t>(i)},
-            sink_user_);
-    }
+    const int peer =
+        suspect_hint_ != nullptr ? suspect_hint_->load(std::memory_order_relaxed) : -1;
+    stalled.push_back(Stall{i, st.strikes, peer});
   }
-
-  if (probe_ != nullptr && now_ns > rndv_stall_ns_) {
-    flagged += probe_->scan_stalled(now_ns, now_ns - rndv_stall_ns_);
-  }
-  return flagged;
 }
 
 }  // namespace fairmpi::progress

@@ -7,7 +7,7 @@
 // the suite itself is executed under the CI chaos profile.
 #include <gtest/gtest.h>
 
-#include <chrono>
+#include <atomic>
 #include <cstring>
 #include <thread>
 #include <vector>
@@ -204,25 +204,48 @@ TEST(Chaos, WatchdogEscalatesStalledInstance) {
   ScopedChaosEnvClear env;
   Config cfg;
   cfg.num_ranks = 2;
-  cfg.watchdog_interval_ns = 0;  // sweep on every poll
+  cfg.progress_mode = progress::ProgressMode::kConcurrent;
+  cfg.watchdog_interval_ns = 0;  // sweep on every progress call
   cfg.watchdog_stall_sweeps = 2;
   Universe uni(cfg);
+  Rank& rank = uni.rank(1);
+  ASSERT_EQ(rank.pool().size(), 1);
 
   ErrorCapture capture;
-  uni.rank(1).set_error_sink(ErrorCapture::sink, &capture);
+  rank.set_error_sink(ErrorCapture::sink, &capture);
 
-  // Park a packet in rank 1's RX ring and never progress rank 1: its
-  // consumption frontier is frozen with a non-empty backlog — the stall
-  // signature the watchdog exists to catch.
+  // Park a packet in rank 1's RX ring while a helper thread holds its only
+  // instance lock: concurrent progress try-locks, fails and returns, so the
+  // consumption frontier stays frozen with a non-empty backlog — the stall
+  // signature the watchdog exists to catch — while progress() keeps running
+  // the timed work.
   const std::uint32_t payload = 42;
   uni.rank(0).world().send(1, /*tag=*/0, &payload, sizeof payload);
+  std::atomic<bool> held{false};
+  std::atomic<bool> release{false};
+  std::thread holder([&] {
+    LockGuard guard(rank.pool().instance(0).lock());
+    held.store(true, std::memory_order_release);
+    while (!release.load(std::memory_order_acquire)) std::this_thread::yield();
+  });
+  while (!held.load(std::memory_order_acquire)) std::this_thread::yield();
 
-  progress::Watchdog* dog = uni.rank(1).watchdog();
-  ASSERT_NE(dog, nullptr);
-  for (int i = 0; i < 10; ++i) dog->poll(now_ns());
+  for (int i = 0; i < 10; ++i) EXPECT_EQ(rank.progress(), 0u);
+  release.store(true, std::memory_order_release);
+  holder.join();
 
-  EXPECT_GT(uni.rank(1).counters().get(Counter::kWatchdogStalls), 0u);
-  EXPECT_TRUE(capture.saw(ErrorCode::kStalledInstance));
+  // One report per stall episode, escalated counter -> trace -> typed error.
+  EXPECT_EQ(rank.counters().get(Counter::kWatchdogStalls), 1u);
+  ASSERT_EQ(capture.errors.size(), 1u);
+  EXPECT_EQ(capture.errors[0].code, ErrorCode::kStalledInstance);
+  EXPECT_EQ(capture.errors[0].rank, 1);
+  EXPECT_EQ(capture.errors[0].peer, -1);    // ft off: unattributed
+  EXPECT_EQ(capture.errors[0].detail, 0u);  // instance id
+
+  // The lock released, progress drains the parked packet.
+  std::uint32_t got = 0;
+  EXPECT_EQ(rank.world().recv(0, /*tag=*/0, &got, sizeof got).source, 0);
+  EXPECT_EQ(got, payload);
 }
 
 TEST(Chaos, WatchdogFlagsStalledRendezvous) {
@@ -243,13 +266,17 @@ TEST(Chaos, WatchdogFlagsStalledRendezvous) {
   uni.rank(0).isend(kWorldComm, 1, /*tag=*/0, big.data(), big.size(), req);
   ASSERT_FALSE(req.done());
 
-  std::this_thread::sleep_for(std::chrono::milliseconds(1));
-  progress::Watchdog* dog = uni.rank(0).watchdog();
-  ASSERT_NE(dog, nullptr);
-  dog->poll(now_ns());
-
-  EXPECT_GT(uni.rank(0).counters().get(Counter::kWatchdogStalls), 0u);
-  EXPECT_TRUE(capture.saw(ErrorCode::kStalledRendezvous));
+  const std::uint64_t bound = now_ns() + 5'000'000'000ULL;
+  while (!capture.saw(ErrorCode::kStalledRendezvous) && now_ns() < bound) {
+    uni.rank(0).progress();
+  }
+  ASSERT_TRUE(capture.saw(ErrorCode::kStalledRendezvous));
+  // Flagged once, named by its peer.
+  for (int i = 0; i < 10; ++i) uni.rank(0).progress();
+  EXPECT_EQ(uni.rank(0).counters().get(Counter::kWatchdogStalls), 1u);
+  ASSERT_EQ(capture.errors.size(), 1u);
+  EXPECT_EQ(capture.errors[0].rank, 0);
+  EXPECT_EQ(capture.errors[0].peer, 1);
 }
 
 TEST(Chaos, SettledRendezvousIsNotAStall) {

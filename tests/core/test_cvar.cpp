@@ -71,8 +71,6 @@ TEST(Cvar, SizesAndLimits) {
   EXPECT_EQ(cfg.fabric.rx_ring_entries, 128u);
   EXPECT_TRUE(apply_cvar(cfg, "cq_entries", "64"));
   EXPECT_EQ(cfg.fabric.cq_entries, 64u);
-  EXPECT_TRUE(apply_cvar(cfg, "progress_batch", "8"));
-  EXPECT_EQ(cfg.progress_batch, 8);
   EXPECT_TRUE(apply_cvar(cfg, "max_communicators", "7"));
   EXPECT_EQ(cfg.max_communicators, 7);
 }
@@ -166,11 +164,14 @@ TEST(Cvar, IntKnobsRejectOutOfRange) {
     }
     EXPECT_EQ(list_cvars(cfg), before) << row.name;
   }
-  EXPECT_GE(int_rows, 6);
+  EXPECT_GE(int_rows, 5);
   Config cfg;
   EXPECT_TRUE(apply_cvar(cfg, "max_retries", "2147483647"));
   EXPECT_EQ(cfg.max_retries, 2147483647);
-  EXPECT_FALSE(apply_cvar(cfg, "overload_high_pct", "101"));
+  // A row's own maximum: a context id must fit the 16-bit src_ctx.
+  EXPECT_TRUE(apply_cvar(cfg, "num_instances", "65536"));
+  EXPECT_FALSE(apply_cvar(cfg, "num_instances", "65537"));
+  EXPECT_EQ(cfg.num_instances, 65536);
   EXPECT_TRUE(apply_cvar(cfg, "fault_seed", "4294967296"));
   EXPECT_EQ(cfg.faults.seed, 4294967296u);
 }

@@ -165,8 +165,8 @@ TEST(CriInstance, ContendedInjectBlocksUntilUnlockAndTimesTheWait) {
     holder.join();
 
     fabric::Packet out;
-    EXPECT_TRUE(peer_rx.try_pop(out));
-    EXPECT_FALSE(peer_rx.try_pop(out)) << "exactly one packet per inject()";
+    EXPECT_EQ(peer_rx.try_pop_n(&out, 1), 1u);
+    EXPECT_EQ(peer_rx.try_pop_n(&out, 1), 0u) << "exactly one packet per inject()";
     if (counters.get(spc::Counter::kInstanceLockWaitNs) > 0) return;
   }
   ADD_FAILURE() << "no contended inject() recorded a lock wait";

@@ -70,9 +70,9 @@ TEST(Fabric, DeliverLandsInRoutedContext) {
   EXPECT_EQ(fabric.nic(1).context(1).delivered(), 1u);
   EXPECT_EQ(fabric.nic(1).context(0).delivered(), 0u);
   Packet out;
-  ASSERT_TRUE(fabric.nic(1).context(1).rx().try_pop(out));
+  ASSERT_EQ(fabric.nic(1).context(1).rx().try_pop_n(&out, 1), 1u);
   EXPECT_EQ(out.hdr.seq, 42u);
-  EXPECT_FALSE(fabric.nic(1).context(0).rx().try_pop(out));
+  EXPECT_EQ(fabric.nic(1).context(0).rx().try_pop_n(&out, 1), 0u);
 }
 
 TEST(Fabric, BackpressureWhenRingFull) {
@@ -84,7 +84,7 @@ TEST(Fabric, BackpressureWhenRingFull) {
   }
   EXPECT_FALSE(fabric.try_deliver(1, 0, 0, make_packet(0, 99)));
   Packet out;
-  ASSERT_TRUE(fabric.nic(1).context(0).rx().try_pop(out));
+  ASSERT_EQ(fabric.nic(1).context(0).rx().try_pop_n(&out, 1), 1u);
   EXPECT_TRUE(fabric.try_deliver(1, 0, 0, make_packet(0, 99)));
 }
 
@@ -93,7 +93,7 @@ TEST(Fabric, EndpointStampsSourceContext) {
   Endpoint ep(fabric, fabric.nic(0).context(2), /*dst=*/1, /*dst_ctx=*/2);
   ASSERT_TRUE(ep.try_send(make_packet(0, 5)));
   Packet out;
-  ASSERT_TRUE(fabric.nic(1).context(2).rx().try_pop(out));
+  ASSERT_EQ(fabric.nic(1).context(2).rx().try_pop_n(&out, 1), 1u);
   EXPECT_EQ(out.hdr.src_ctx, 2u);
 }
 
@@ -101,7 +101,7 @@ TEST(Fabric, SelfDeliveryWorks) {
   Fabric fabric({2});
   ASSERT_TRUE(fabric.try_deliver(0, /*src_rank=*/0, /*src_ctx=*/1, make_packet(0, 3)));
   Packet out;
-  ASSERT_TRUE(fabric.nic(0).context(1).rx().try_pop(out));
+  ASSERT_EQ(fabric.nic(0).context(1).rx().try_pop_n(&out, 1), 1u);
   EXPECT_EQ(out.hdr.seq, 3u);
 }
 
@@ -149,7 +149,7 @@ TEST(Fabric, EveryStreamOwnsItsLane) {
         // Every stream's window arrived whole, each from its own source.
         Packet out;
         std::multiset<std::pair<int, int>> seen;
-        while (rx.try_pop(out)) seen.emplace(out.hdr.src_rank, out.hdr.src_ctx);
+        while (rx.try_pop_n(&out, 1) != 0) seen.emplace(out.hdr.src_rank, out.hdr.src_ctx);
         EXPECT_EQ(seen.size(), static_cast<std::size_t>(streams) * rx.lane_capacity());
         for (int src = 0; src < fabric.num_ranks(); ++src) {
           for (int c = 0; c < fabric.nic(src).num_contexts(); ++c) {

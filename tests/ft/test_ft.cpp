@@ -105,23 +105,140 @@ TEST(Ft, IdlePeersStayAliveViaHeartbeats) {
   EXPECT_GT(total.get(Counter::kFtHeartbeatsReceived), 0u);
 }
 
-TEST(Ft, NoteAliveNewerThanPollNowIsNotSilence) {
-  // poll() gets a `now` read before its sweep; a packet noted in between
-  // carries a later stamp. That is fresh contact, not 2^64 ns of silence.
+/// A standalone detector seen from rank 0: probes every 1 µs, suspects
+/// after 5 µs of silence, confirms after 3 strikes. Time is poll()'s
+/// argument, so these tests neither sleep nor read the clock.
+struct Detector {
+  static constexpr std::uint64_t kHeartbeat = 1'000;
+  static constexpr std::uint64_t kSuspect = 5'000;
+  static constexpr std::uint64_t kT0 = 1'000'000'000ULL;
+
+  explicit Detector(int ranks = 2) : det(ranks, 0, params(), counters, tracer) {}
+  static ft::FtParams params() {
+    ft::FtParams fp;
+    fp.heartbeat_ns = kHeartbeat;
+    fp.suspect_ns = kSuspect;
+    fp.strikes = 3;
+    return fp;
+  }
+  /// One sweep at `now`; its probe targets and confirmations replace the
+  /// previous sweep's.
+  void poll(std::uint64_t now) {
+    probes.clear();
+    dead.clear();
+    det.poll(now, probes, dead);
+  }
+
   spc::CounterSet counters;
   trace::Tracer tracer;
-  ft::FtParams fp;
-  fp.heartbeat_ns = 1'000;
-  fp.suspect_ns = 5'000;
-  fp.strikes = 1;
-  ft::FailureDetector det(2, 0, fp, counters, tracer);
-  const std::uint64_t t = 1'000'000'000ULL;
+  ft::FailureDetector det;
   std::vector<int> probes, dead;
-  det.note_alive(1, t + 10);
-  det.poll(t + 5, probes, dead);
-  EXPECT_EQ(det.state(1), ft::PeerState::kAlive);
-  EXPECT_EQ(counters.get(Counter::kFtSuspects), 0u);
-  EXPECT_TRUE(dead.empty());
+};
+
+TEST(Ft, DetectorHeardBetweenSweepsIsAlive) {
+  Detector d;
+  d.poll(Detector::kT0);
+  // Heard once between two sweeps far apart: fresh contact at the second.
+  d.det.note_alive(1);
+  d.poll(Detector::kT0 + 100 * Detector::kSuspect);
+  EXPECT_EQ(d.det.state(1), ft::PeerState::kAlive);
+  EXPECT_EQ(d.counters.get(Counter::kFtSuspects), 0u);
+  // Unheard for the same stretch, it is suspected.
+  d.poll(Detector::kT0 + 200 * Detector::kSuspect);
+  EXPECT_EQ(d.det.state(1), ft::PeerState::kSuspect);
+  EXPECT_EQ(d.counters.get(Counter::kFtSuspects), 1u);
+  EXPECT_EQ(d.det.suspect_hint()->load(), 1);
+  // Heard again before the strikes ran out: recovered.
+  d.det.note_alive(1);
+  d.poll(Detector::kT0 + 200 * Detector::kSuspect + Detector::kHeartbeat);
+  EXPECT_EQ(d.det.state(1), ft::PeerState::kAlive);
+  EXPECT_EQ(d.det.suspect_hint()->load(), -1);
+  EXPECT_FALSE(d.det.is_dead(1));
+}
+
+TEST(Ft, DetectorSilenceSuspectsThenConfirmsDead) {
+  Detector d;
+  d.det.note_alive(1);
+  std::uint64_t now = Detector::kT0;
+  d.poll(now);
+  EXPECT_EQ(d.probes, std::vector<int>{1});  // sender-cadenced probe
+  // Silent just short of the threshold: still alive.
+  now += Detector::kSuspect - 1;
+  d.poll(now);
+  EXPECT_EQ(d.det.state(1), ft::PeerState::kAlive);
+  // Silent for suspect_ns since the sweep that last heard it: suspect.
+  now = Detector::kT0 + Detector::kSuspect;
+  d.poll(now);
+  EXPECT_EQ(d.det.state(1), ft::PeerState::kSuspect);
+  EXPECT_EQ(d.probes, std::vector<int>{1});
+  // One strike per unanswered heartbeat interval; the third confirms.
+  for (int strike = 1; strike < 3; ++strike) {
+    d.poll(now + Detector::kHeartbeat - 1);  // not a full interval yet
+    EXPECT_TRUE(d.probes.empty());
+    now += Detector::kHeartbeat;
+    d.poll(now);
+    EXPECT_EQ(d.det.state(1), ft::PeerState::kSuspect) << "strike " << strike;
+    EXPECT_TRUE(d.dead.empty());
+  }
+  now += Detector::kHeartbeat;
+  d.poll(now);
+  EXPECT_EQ(d.dead, std::vector<int>{1});
+  EXPECT_TRUE(d.det.is_dead(1));
+  EXPECT_EQ(d.counters.get(Counter::kFtDeaths), 1u);
+  // Terminal: traffic from the corpse changes nothing, nothing repeats.
+  d.det.note_alive(1);
+  d.poll(now + Detector::kHeartbeat);
+  EXPECT_TRUE(d.det.is_dead(1));
+  EXPECT_TRUE(d.dead.empty());
+  EXPECT_TRUE(d.probes.empty());
+  EXPECT_EQ(d.counters.get(Counter::kFtDeaths), 1u);
+}
+
+TEST(Ft, DetectorBaselinesNeverHeardPeer) {
+  Detector d;
+  // The first sweep sees a peer it never heard: baselined, not suspected
+  // (silence since boot would read as kT0 ns), and not yet probed.
+  d.poll(Detector::kT0);
+  EXPECT_EQ(d.det.state(1), ft::PeerState::kAlive);
+  EXPECT_TRUE(d.probes.empty());
+  d.poll(Detector::kT0 + Detector::kHeartbeat);
+  EXPECT_EQ(d.probes, std::vector<int>{1});
+  EXPECT_EQ(d.det.state(1), ft::PeerState::kAlive);
+  // Silence counts from the baseline.
+  d.poll(Detector::kT0 + Detector::kSuspect);
+  EXPECT_EQ(d.det.state(1), ft::PeerState::kSuspect);
+}
+
+TEST(Ft, DetectorStateReadableDuringSweeps) {
+  // Readers (send paths, survivors(), dump_observability) and note_alive
+  // run on other threads than the sweep; none takes a lock. Peer 1 is
+  // never heard and must die; peer 2 is noted concurrently throughout.
+  Detector d(3);
+  std::atomic<bool> stop{false};
+  std::thread reader([&] {
+    bool saw_dead = false;
+    while (!stop.load(std::memory_order_acquire)) {
+      const ft::PeerState s = d.det.state(1);
+      if (saw_dead) {
+        EXPECT_EQ(s, ft::PeerState::kDead);  // terminal
+      }
+      saw_dead = saw_dead || d.det.is_dead(1);
+      (void)d.det.state(2);
+      (void)d.det.suspect_hint()->load(std::memory_order_relaxed);
+    }
+  });
+  std::thread writer([&] {
+    while (!stop.load(std::memory_order_acquire)) d.det.note_alive(2);
+  });
+  std::uint64_t now = Detector::kT0;
+  for (int i = 0; i < 20 && !d.det.is_dead(1); ++i) {
+    d.poll(now);
+    now += Detector::kHeartbeat;
+  }
+  stop.store(true, std::memory_order_release);
+  reader.join();
+  writer.join();
+  EXPECT_TRUE(d.det.is_dead(1));
 }
 
 TEST(Ft, KilledRankOpsFailTypedWithoutHanging) {

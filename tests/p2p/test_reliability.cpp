@@ -18,6 +18,9 @@ namespace {
 using fabric::Opcode;
 using fabric::Packet;
 
+/// The sweep's dead-destination query when no peer has died.
+const auto kNoneDead = [](int) { return false; };
+
 Packet make_packet(std::uint32_t seq, std::uint64_t imm = 0,
                    const std::string& payload = "retransmit me") {
   Packet pkt;
@@ -80,7 +83,7 @@ TEST(ReliabilityTracker, UntrackRemovesFailedInjection) {
 
   std::vector<ReliabilityTracker::Resend> resends;
   std::vector<ReliabilityTracker::Failure> failures;
-  t.sweep(/*now_ns=*/1000, resends, failures);
+  t.sweep(/*now_ns=*/1000, resends, failures, kNoneDead);
   EXPECT_TRUE(resends.empty());
   EXPECT_TRUE(failures.empty());
 }
@@ -93,10 +96,10 @@ TEST(ReliabilityTracker, SweepClonesExpiredEntries) {
 
   std::vector<ReliabilityTracker::Resend> resends;
   std::vector<ReliabilityTracker::Failure> failures;
-  t.sweep(/*now_ns=*/50, resends, failures);  // not yet expired
+  t.sweep(/*now_ns=*/50, resends, failures, kNoneDead);  // not yet expired
   EXPECT_TRUE(resends.empty());
 
-  t.sweep(/*now_ns=*/150, resends, failures);
+  t.sweep(/*now_ns=*/150, resends, failures, kNoneDead);
   ASSERT_EQ(resends.size(), 1u);
   EXPECT_EQ(resends[0].dst, 2);
   EXPECT_EQ(resends[0].pkt.hdr.seq, 3u);
@@ -110,13 +113,13 @@ TEST(ReliabilityTracker, SweepOnlyClaimsNoDoubleClone) {
 
   std::vector<ReliabilityTracker::Resend> resends;
   std::vector<ReliabilityTracker::Failure> failures;
-  t.sweep(150, resends, failures);
+  t.sweep(150, resends, failures, kNoneDead);
   ASSERT_EQ(resends.size(), 1u);
 
   // The claim pushed the deadline one rto out (150 + 100): an immediate
   // second sweep must not clone the same entry again.
   resends.clear();
-  const std::uint64_t next = t.sweep(151, resends, failures);
+  const std::uint64_t next = t.sweep(151, resends, failures, kNoneDead);
   EXPECT_TRUE(resends.empty());
   EXPECT_EQ(next, 250u);
 }
@@ -129,15 +132,15 @@ TEST(ReliabilityTracker, ConfirmChargesRetryAndBacksOff) {
 
   std::vector<ReliabilityTracker::Resend> resends;
   std::vector<ReliabilityTracker::Failure> failures;
-  t.sweep(150, resends, failures);
+  t.sweep(150, resends, failures, kNoneDead);
   ASSERT_EQ(resends.size(), 1u);
   t.confirm_retransmit(key, 150);
 
   // Backoff doubled the rto: the next deadline is 150 + 200.
   resends.clear();
-  t.sweep(300, resends, failures);
+  t.sweep(300, resends, failures, kNoneDead);
   EXPECT_TRUE(resends.empty());
-  t.sweep(350, resends, failures);
+  t.sweep(350, resends, failures, kNoneDead);
   EXPECT_EQ(resends.size(), 1u);
 }
 
@@ -163,16 +166,16 @@ TEST(ReliabilityTracker, RtoBackoffIsBoundedByMax) {
   for (int i = 0; i < 4; ++i) {
     now += 1000;  // comfortably past any deadline
     resends.clear();
-    t.sweep(now, resends, failures);
+    t.sweep(now, resends, failures, kNoneDead);
     ASSERT_EQ(resends.size(), 1u) << "retry " << i;
     t.confirm_retransmit(key, now);
   }
   // rto is now clamped to 300: a sweep 299 past the confirm sees nothing,
   // one at 300 claims.
   resends.clear();
-  t.sweep(now + 299, resends, failures);
+  t.sweep(now + 299, resends, failures, kNoneDead);
   EXPECT_TRUE(resends.empty());
-  t.sweep(now + 300, resends, failures);
+  t.sweep(now + 300, resends, failures, kNoneDead);
   EXPECT_EQ(resends.size(), 1u);
 }
 
@@ -188,7 +191,7 @@ TEST(ReliabilityTracker, ExhaustionAfterMaxConfirmedRetries) {
   for (int i = 0; i < 2; ++i) {
     now += 10000;
     resends.clear();
-    t.sweep(now, resends, failures);
+    t.sweep(now, resends, failures, kNoneDead);
     ASSERT_EQ(resends.size(), 1u);
     ASSERT_TRUE(failures.empty());
     t.confirm_retransmit(key, now);
@@ -196,7 +199,7 @@ TEST(ReliabilityTracker, ExhaustionAfterMaxConfirmedRetries) {
   // Retry budget spent: the next expiry fails the entry typed and removes it.
   now += 10000;
   resends.clear();
-  t.sweep(now, resends, failures);
+  t.sweep(now, resends, failures, kNoneDead);
   EXPECT_TRUE(resends.empty());
   ASSERT_EQ(failures.size(), 1u);
   EXPECT_EQ(failures[0].key, key);
@@ -216,7 +219,7 @@ TEST(ReliabilityTracker, UnconfirmedSweepsNeverExhaust) {
   for (int i = 0; i < 20; ++i) {
     now += 10000;
     resends.clear();
-    t.sweep(now, resends, failures);
+    t.sweep(now, resends, failures, kNoneDead);
     EXPECT_EQ(resends.size(), 1u) << "claim " << i;
     EXPECT_TRUE(failures.empty()) << "claim " << i;
   }
@@ -234,11 +237,11 @@ TEST(ReliabilityTracker, MaxRetriesZeroFailsFastWithoutResending) {
 
   std::vector<ReliabilityTracker::Resend> resends;
   std::vector<ReliabilityTracker::Failure> failures;
-  t.sweep(50, resends, failures);  // deadline (100) not reached yet
+  t.sweep(50, resends, failures, kNoneDead);  // deadline (100) not reached yet
   EXPECT_TRUE(resends.empty());
   EXPECT_TRUE(failures.empty());
 
-  t.sweep(200, resends, failures);
+  t.sweep(200, resends, failures, kNoneDead);
   EXPECT_TRUE(resends.empty());
   ASSERT_EQ(failures.size(), 1u);
   EXPECT_EQ(failures[0].key, key);
@@ -261,17 +264,17 @@ TEST(ReliabilityTracker, FailPeerPurgesTypedAndLatchesDeath) {
     EXPECT_EQ(f.key.peer, 1);
     EXPECT_EQ(f.code, common::ErrorCode::kPeerFailed);
   }
-  EXPECT_TRUE(t.peer_failed(1));
-  EXPECT_FALSE(t.peer_failed(2));
   EXPECT_EQ(t.in_flight(), 1u);  // the peer-2 entry is untouched
 
   // A track racing the confirmation (registered after fail_peer) is caught
   // by the next sweep regardless of its deadline — no retry budget burned
-  // into a dead link.
+  // into a dead link. The caller's record of the death (the detector, in a
+  // Rank) answers the sweep.
   t.track(1, make_packet(4), 0);
   std::vector<ReliabilityTracker::Resend> resends;
   failures.clear();
-  t.sweep(1, resends, failures);  // nothing has expired at now=1
+  const auto is_dead = [](int peer) { return peer == 1; };
+  t.sweep(1, resends, failures, is_dead);  // nothing has expired at now=1
   EXPECT_TRUE(resends.empty());
   ASSERT_EQ(failures.size(), 1u);
   EXPECT_EQ(failures[0].code, common::ErrorCode::kPeerFailed);
